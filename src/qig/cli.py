@@ -8,6 +8,16 @@ Usage:
 One JSON object is printed per check, then a summary object.  Exit
 status is 0 iff every check passed.  Reports are byte-reproducible for
 a given seed and configuration except for the elapsed-time fields.
+A check with a tolerance reports it in a top-level ``tolerance`` field.
+
+Overrides are keyed by suite name: ``--tol SUITE=VALUE`` and the config
+file's ``tolerances`` and ``trials`` dicts set that knob for every check
+of the suite that declares it, and ``--trials N`` sets every declared
+trial count.  A key that is not a suite declaring the knob is an error
+(exit status 2; the message lists the valid keys).  The statistical
+checks coin.monte_carlo, simulate.frequencies, haar.uniformity,
+haar.negative_control and haar.rotation_invariance keep fixed sample
+sizes, because their false-alarm rate depends on them.
 """
 
 import argparse
@@ -15,7 +25,7 @@ import json
 import os
 import sys
 
-from .harness import SUITES, Settings, run_suite
+from .harness import SUITES, Settings, overridable, run_suite
 
 CONFIG_ENV_VAR = "QIG_VERIFY_CONFIG"
 
@@ -37,7 +47,7 @@ def parse_dimensions(text):
 def parse_override(text):
     name, _, value = text.partition("=")
     if not _:
-        raise argparse.ArgumentTypeError("tolerance override must be name=value")
+        raise argparse.ArgumentTypeError("tolerance override must be suite=value")
     return name, float(value)
 
 
@@ -50,12 +60,12 @@ def build_parser():
     parser.add_argument("--n", type=parse_dimensions, default=None,
                         metavar="N or LO..HI", help="dimension(s) to test")
     parser.add_argument("--trials", type=int, default=None,
-                        help="override the per-check trial counts")
+                        help="set every declared per-check trial count")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (per-check seeds derive from it)")
     parser.add_argument("--tol", action="append", type=parse_override,
-                        default=[], metavar="NAME=VALUE",
-                        help="tolerance override, repeatable")
+                        default=[], metavar="SUITE=VALUE",
+                        help="tolerance override for a suite's checks, repeatable")
     parser.add_argument("--config", default=None,
                         help=f"JSON config file (default ${CONFIG_ENV_VAR})")
     parser.add_argument("--out", default=None,
@@ -73,11 +83,7 @@ def load_settings(args):
     dimensions = args.n or tuple(config.get("dimensions", (2, 3, 4, 5)))
     trials = dict(config.get("trials", {}))
     if args.trials is not None:
-        # a flat --trials value applies to every trial-count knob
-        trials = {key: args.trials for key in (
-            "metric", "classify", "classify_agreement", "born_pairs",
-            "compose_pairs", "energy_trials", "haar_maps", "composition",
-            "subsystem_trials", "dynamics_trials")}
+        trials.update(dict.fromkeys(overridable("trials"), args.trials))
     tolerances = dict(config.get("tolerances", {}))
     tolerances.update(dict(args.tol))
     return Settings(seed=int(seed), dimensions=tuple(dimensions),
@@ -85,8 +91,12 @@ def load_settings(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    settings = load_settings(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        settings = load_settings(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     stream = open(args.out, "w") if args.out else sys.stdout
 

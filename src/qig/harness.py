@@ -1,34 +1,74 @@
 """Deterministic verification checks behind the ``verify`` command.
 
-Each check function takes a :class:`Settings` and returns a report
-dict; seeds for individual checks are derived from the master seed and
-the check name, so checks can run in any order (or concurrently)
-without changing results.
+Each check is declared once, with :func:`check`, under its suite and
+with its default trial count and tolerance where it has them; the CLI,
+the config file and the tests all read that registry, :data:`SUITES`.
+Seeds for individual checks are derived from the master seed and an
+RNG label, so checks can run in any order (or concurrently) without
+changing results.  Statistical checks keep fixed sample sizes, because
+their false-alarm rate depends on them.
 """
 
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import composite, dynamics, measure, measurement, qspace, sampling, simplex, transforms
 
 DEFAULT_DIMENSIONS = (2, 3, 4, 5)
+# Fixed parameters of single checks, not overridable.
+ODE_STEP = 1e-4
+COIN_N = 100
+COIN_TOSSES = 200
+HAAR_PAIRS_PER_MAP = 50
+
+# suite -> [(check name, function, default trials, default tolerance)], in
+# declaration order; None marks a knob the check does not have.
+SUITES = {}
+
+
+def check(suite, name, trials=None, tol=None):
+    """Register a check of ``suite`` with its default trial count and tolerance.
+
+    :func:`run_check` passes each declared knob to the function as the
+    keyword argument ``trials`` or ``tol``.
+    """
+    def register(fn):
+        SUITES.setdefault(suite, []).append((name, fn, trials, tol))
+        return fn
+    return register
+
+
+def overridable(knob):
+    """Sorted suites in which some check declares ``knob``, "trials" or "tolerances"."""
+    column = {"trials": 2, "tolerances": 3}[knob]
+    return sorted({suite for suite, checks in SUITES.items()
+                   for entry in checks if entry[column] is not None})
 
 
 @dataclass(frozen=True)
 class Settings:
+    """Master seed, dimensions, and overrides keyed by suite name.
+
+    ``trials`` and ``tolerances`` map a suite to the value that replaces
+    the default of every check in it declaring that knob; any other key
+    raises ValueError.
+    """
+
     seed: int = 12345
     dimensions: tuple = DEFAULT_DIMENSIONS
     trials: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
-    def trial(self, name, default):
-        return int(self.trials.get(name, default))
-
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
+    def __post_init__(self):
+        for knob in ("trials", "tolerances"):
+            valid = overridable(knob)
+            unknown = sorted(set(getattr(self, knob)) - set(valid))
+            if unknown:
+                raise ValueError(f"unknown {knob} key(s) {', '.join(unknown)}; "
+                                 f"valid keys: {', '.join(valid)}")
 
     def rng(self, check_name):
         return np.random.default_rng(check_seed(self.seed, check_name))
@@ -40,35 +80,49 @@ def check_seed(master_seed, check_name):
     return ss
 
 
-def run_check(name, fn, settings):
-    """Execute one check and wrap the outcome in a report dict."""
+def run_check(suite, entry, settings):
+    """Execute one ``(name, fn, trials, tol)`` entry of ``SUITES[suite]``.
+
+    Each declared knob resolves to the suite's override or else the
+    check's default.  Returns the report dict; a resolved tolerance is
+    its top-level ``tolerance`` field.
+    """
+    name, fn, default_trials, default_tol = entry
+    knobs = {}
     start = time.perf_counter()
     try:
-        passed, max_residual, trials, details = fn(settings)
+        if default_trials is not None:
+            knobs["trials"] = int(settings.trials.get(suite, default_trials))
+        if default_tol is not None:
+            knobs["tol"] = float(settings.tolerances.get(suite, default_tol))
+        passed, max_residual, trials, details = fn(settings, **knobs)
         status = "pass" if passed else "fail"
     except Exception as exc:  # noqa: BLE001 - harness must report, not crash
         status, max_residual, trials = "error", None, 0
         details = {"exception": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    return {
-        "check": name,
-        "status": status,
-        "max_residual": max_residual,
-        "trials": trials,
-        "seed": int(settings.seed),
-        "elapsed": round(elapsed, 6),
-        "details": details,
-    }
+    report = {"check": name, "status": status, "max_residual": max_residual}
+    if "tol" in knobs:
+        report["tolerance"] = knobs["tol"]
+    report.update(trials=trials, seed=int(settings.seed), elapsed=round(elapsed, 6),
+                  details=details, suite=suite)
+    return report
+
+
+def run_suite(names, settings):
+    """Run the named suites in order, yielding one report dict per check."""
+    for suite in names:
+        for entry in SUITES[suite]:
+            yield run_check(suite, entry, settings)
 
 
 # ---------------------------------------------------------------- metric
 
 
-def check_metric_pullback(settings):
+@check("metric", "metric.pullback", trials=500, tol=1e-12)
+def check_metric_pullback(settings, trials, tol):
     """Information metric equals the Euclidean metric of the sqrt embedding."""
     rng = settings.rng("metric.pullback")
-    trials = settings.trial("metric", 500)
-    tol = settings.tol("metric_pullback", 1e-12)
     worst = 0.0
     for _ in range(trials):
         m = int(rng.integers(2, 7))
@@ -78,14 +132,13 @@ def check_metric_pullback(settings):
         ds2 = simplex.info_metric_ds2(p, dp)
         dq2 = np.sum((dp / (2.0 * np.sqrt(p))) ** 2)
         worst = max(worst, abs(ds2 - dq2))
-    return worst < tol, worst, trials, {"tolerance": tol}
+    return worst < tol, worst, trials, {}
 
 
-def check_metric_qspace(settings):
+@check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8)
+def check_metric_qspace(settings, trials, tol):
     """sum dQ^2 matches (1/4) sum dP^2/P on outcome probabilities."""
     rng = settings.rng("metric.qspace")
-    trials = settings.trial("metric", 500)
-    tol = settings.tol("metric_qspace", 1e-8)
     h = 1e-5
     worst = 0.0
     for _ in range(trials):
@@ -103,13 +156,13 @@ def check_metric_qspace(settings):
         dP = q_plus**2 - q_minus**2
         ds2 = 0.25 * np.sum(dP**2 / P)
         worst = max(worst, abs(ds2 - dq2) / dq2)
-    return worst < tol, worst, trials, {"tolerance": tol, "displacement": h}
+    return worst < tol, worst, trials, {"displacement": h}
 
 
-def check_metric_geodesic(settings):
+@check("metric", "metric.geodesic", trials=200)
+def check_metric_geodesic(settings, trials):
     """Geodesic distance and metric agree to second order; triangle inequality."""
     rng = settings.rng("metric.geodesic")
-    trials = settings.trial("metric", 200)
     worst_ratio = 0.0
     for _ in range(trials):
         m = int(rng.integers(2, 6))
@@ -140,9 +193,10 @@ def check_metric_geodesic(settings):
 # ------------------------------------------------------------------ coin
 
 
+@check("coin", "coin.expansion")
 def check_coin_expansion(settings):
     """log Bayes factor ~ 2n ds^2 for nearby coins, converging with |dp|."""
-    n = settings.trial("coin_n", 100)
+    n = COIN_N
     p = np.array([0.5, 0.5])
     deviations = []
     for delta in (1e-2, 1e-3, 1e-4):
@@ -157,11 +211,12 @@ def check_coin_expansion(settings):
     return converging and small_enough, deviations[0], 3, details
 
 
+@check("coin", "coin.monte_carlo")
 def check_coin_monte_carlo(settings):
     """Monte-Carlo mean of ln(P_A/P_B) matches the analytic value within 3 SE."""
     rng = settings.rng("coin.monte_carlo")
-    datasets = settings.trial("coin_datasets", 100_000)
-    n = settings.trial("coin_tosses", 200)
+    datasets = 100_000  # fixed sample size
+    n = COIN_TOSSES
     p = np.array([0.5, 0.5])
     p2 = np.array([0.55, 0.45])
     analytic = simplex.log_bayes_factor(p, p2, n)
@@ -176,40 +231,38 @@ def check_coin_monte_carlo(settings):
 # --------------------------------------------------------- measure-solver
 
 
-def check_measure_ode(settings):
+@check("measure-solver", "measure.ode_vs_closed_form", tol=1e-6)
+def check_measure_ode(settings, tol):
     """RK4 solution of F' = +/- 2a sqrt(F(1-F)) matches cos^2(a chi + b)."""
-    step = settings.tol("ode_step", 1e-4)
-    tol = settings.tol("ode_error", 1e-6)
     a, b = 1.0, 0.0
     grid = np.linspace(0.0, 2.0 * np.pi, 629)
-    sol = measure.solve_F_ode(a, 1.0, 0.0, grid, step=step)
+    sol = measure.solve_F_ode(a, 1.0, 0.0, grid, step=ODE_STEP)
     exact = np.cos(a * grid + b) ** 2
     worst = float(np.max(np.abs(sol - exact)))
-    return worst < tol, worst, grid.size, {"tolerance": tol, "step": step}
+    return worst < tol, worst, grid.size, {"step": ODE_STEP}
 
 
-def check_measure_invariant_density(settings):
-    """Induced density of the cos^2 family is constant (= 2|a|)."""
-    tol = settings.tol("density_flatness", 1e-9)
-    points = settings.trial("density_grid", 1000)
+@check("measure-solver", "measure.invariant_density", trials=1000, tol=1e-9)
+def check_measure_invariant_density(settings, trials, tol):
+    """Induced density of the cos^2 family is constant (= 2|a|) on ``trials`` points."""
     worst = 0.0
     for a, b in ((1.0, 0.3), (3.0, 0.0), (0.5, 1.1)):
         ff = measure.cos_squared_family(a, b)
         period = np.pi / abs(a)
         eps = 0.02 * period
         # avoid the zeros of sin*cos where the density is singular
-        half = np.linspace(eps, period / 2 - eps, points // 2)
+        half = np.linspace(eps, period / 2 - eps, trials // 2)
         grid = np.concatenate([half, half + period / 2]) - b / a + period
         dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
         worst = max(worst, float(np.max(np.abs(dens - 2.0 * abs(a)))))
         if not measure.is_translation_invariant(ff, grid, tol):
-            return False, worst, points, {"family": f"cos^2({a} chi + {b})"}
-    return worst < tol, worst, points, {"tolerance": tol}
+            return False, worst, trials, {"family": f"cos^2({a} chi + {b})"}
+    return worst < tol, worst, trials, {}
 
 
-def check_measure_counterexamples(settings):
-    """Non-sinusoidal embeddings are rejected: density varies by > 10%."""
-    points = settings.trial("density_grid", 1000)
+@check("measure-solver", "measure.counterexamples", trials=1000)
+def check_measure_counterexamples(settings, trials):
+    """Non-sinusoidal embeddings are rejected: density varies by > 10% on ``trials`` points."""
     quad = measure.EmbeddingFunction(
         F=lambda x: x**2, dF=lambda x: 2.0 * x, domain=(0.1, 0.9))
     logi = measure.EmbeddingFunction(
@@ -220,15 +273,16 @@ def check_measure_counterexamples(settings):
     ok = True
     for name, ff in (("quadratic", quad), ("logistic", logi)):
         lo, hi = ff.domain
-        grid = np.linspace(lo + 1e-3, hi - 1e-3, points)
+        grid = np.linspace(lo + 1e-3, hi - 1e-3, trials)
         dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
         variation = float((dens.max() - dens.min()) / dens.max())
         variations[name] = variation
         if variation <= 0.10 or measure.is_translation_invariant(ff, grid, 0.10):
             ok = False
-    return ok, min(variations.values()), points, {"density_variation": variations}
+    return ok, min(variations.values()), trials, {"density_variation": variations}
 
 
+@check("measure-solver", "measure.ode_convergence")
 def check_measure_convergence(settings):
     """Halving the RK4 step reduces the error at least 8x away from turning points."""
     a = 1.0
@@ -246,15 +300,14 @@ def check_measure_convergence(settings):
 # -------------------------------------------------------------- classify
 
 
-def check_classify_roundtrip(settings):
-    """Haar unitaries and antiunitaries survive realify -> classify."""
+@check("classify", "classify.roundtrip", trials=1000, tol=1e-9)
+def check_classify_roundtrip(settings, trials, tol):
+    """Haar unitaries and antiunitaries survive realify -> classify (``trials`` per dimension)."""
     rng = settings.rng("classify.roundtrip")
-    per_dim = settings.trial("classify", 1000)
-    tol = settings.tol("roundtrip", 1e-9)
     worst = 0.0
     total = 0
     for n in settings.dimensions:
-        for _ in range(per_dim):
+        for _ in range(trials):
             v = sampling.haar_unitary(n, rng)
             for maker, kind in ((transforms.realify_unitary, "unitary"),
                                 (transforms.realify_antiunitary, "antiunitary")):
@@ -263,17 +316,17 @@ def check_classify_roundtrip(settings):
                 if g.kind != kind:
                     return False, 1.0, total, {"failed_kind": kind, "n": n}
                 worst = max(worst, float(np.max(np.abs(g.v - v))))
-    return worst < tol, worst, total, {"tolerance": tol, "dimensions": list(settings.dimensions)}
+    return worst < tol, worst, total, {"dimensions": list(settings.dimensions)}
 
 
-def check_classify_rejects_generic(settings):
-    """Generic orthogonal matrices are rejected and fail the witness."""
+@check("classify", "classify.rejects_generic", trials=1000)
+def check_classify_rejects_generic(settings, trials):
+    """Generic orthogonal matrices are rejected and fail the witness (``trials`` per dimension)."""
     rng = settings.rng("classify.generic")
-    per_dim = settings.trial("classify", 1000)
     total = 0
     min_dev = np.inf
     for n in settings.dimensions:
-        for _ in range(per_dim):
+        for _ in range(trials):
             m = sampling.haar_orthogonal(2 * n, rng)
             g = transforms.classify(m)
             passed, dev = transforms.gauge_invariance_witness(m, trials=8, rng=rng)
@@ -284,14 +337,13 @@ def check_classify_rejects_generic(settings):
     return True, float(min_dev), total, {"min_witness_deviation": float(min_dev)}
 
 
-def check_classify_witness_agreement(settings):
+@check("classify", "classify.witness_agreement", trials=250, tol=1e-9)
+def check_classify_witness_agreement(settings, trials, tol):
     """classify and the gauge-invariance witness agree on the whole corpus."""
     rng = settings.rng("classify.agreement")
-    per_dim = settings.trial("classify_agreement", 250)
-    tol = settings.tol("witness", 1e-9)
     total, disagreements = 0, 0
     for n in settings.dimensions:
-        for _ in range(per_dim):
+        for _ in range(trials):
             v = sampling.haar_unitary(n, rng)
             candidates = [transforms.realify_unitary(v),
                           transforms.realify_antiunitary(v),
@@ -305,10 +357,10 @@ def check_classify_witness_agreement(settings):
     return disagreements == 0, float(disagreements), total, {"disagreements": disagreements}
 
 
-def check_classify_composition(settings):
+@check("classify", "classify.composition", trials=200)
+def check_classify_composition(settings, trials):
     """classify respects the unitary/antiunitary composition table."""
     rng = settings.rng("classify.composition")
-    trials = settings.trial("composition", 200)
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 6))
@@ -328,15 +380,14 @@ def check_classify_composition(settings):
 # ------------------------------------------------------------------ born
 
 
-def check_born_exact(settings):
+@check("born", "born.exact", trials=1000, tol=1e-12)
+def check_born_exact(settings, trials, tol):
     """Arrangement distribution equals Born probabilities, phases irrelevant."""
     rng = settings.rng("born.exact")
-    pairs = settings.trial("born_pairs", 1000)
-    tol = settings.tol("born", 1e-12)
     worst = 0.0
     total = 0
     for n in (2, 3, 5):
-        for _ in range(pairs):
+        for _ in range(trials):
             basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
             v = sampling.sample_uniform(sampling.StateSampler(n, 0), 1, rng=rng)[0]
             arr = measurement.build_simulation(
@@ -346,13 +397,14 @@ def check_born_exact(settings):
             born = measurement.born_probs(v, basis)
             worst = max(worst, float(np.max(np.abs(exact - born))))
             total += 1
-    return worst < tol, worst, total, {"tolerance": tol, "dimensions": [2, 3, 5]}
+    return worst < tol, worst, total, {"dimensions": [2, 3, 5]}
 
 
+@check("simulate", "simulate.frequencies")
 def check_born_sampled(settings):
     """Sampled result frequencies match Born probabilities within 3 sigma."""
     rng = settings.rng("born.sampled")
-    trials = settings.trial("simulate_trials", 100_000)
+    trials = 100_000  # fixed sample size
     n = 3
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
     v = sampling.sample_uniform(sampling.StateSampler(n, 0), 1, rng=rng)[0]
@@ -368,10 +420,10 @@ def check_born_sampled(settings):
     return worst < 3.0, worst, trials, {"born": p.tolist(), "counts": counts.tolist()}
 
 
-def check_born_reproducible(settings):
+@check("simulate", "simulate.reproducibility", trials=100_000)
+def check_born_reproducible(settings, trials):
     """Immediately repeating a measurement reproduces its result, always."""
     rng = settings.rng("born.reproducible")
-    trials = settings.trial("repeat_trials", 100_000)
     n = 3
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
     arr = measurement.build_simulation(
@@ -389,16 +441,15 @@ def check_born_reproducible(settings):
 # --------------------------------------------------------------- compose
 
 
-def check_compose_dual_route(settings):
+@check("compose", "compose.dual_route", trials=1000, tol=1e-12)
+def check_compose_dual_route(settings, trials, tol):
     """Kronecker product agrees with the probabilities-multiply/phases-add rule."""
     rng = settings.rng("compose.dual")
-    pairs = settings.trial("compose_pairs", 1000)
-    tol = settings.tol("compose", 1e-12)
     worst = 0.0
     total = 0
     for n1 in (2, 3):
         for n2 in (2, 3):
-            for _ in range(pairs // 2):
+            for _ in range(trials // 2):
                 s1 = _random_full_support_rep(n1, rng)
                 s2 = _random_full_support_rep(n2, rng)
                 via_reps = qspace.to_complex(qspace.from_phase_rep(
@@ -408,14 +459,13 @@ def check_compose_dual_route(settings):
                     qspace.to_complex(qspace.from_phase_rep(s2)))
                 worst = max(worst, float(np.max(np.abs(via_reps - direct))))
                 total += 1
-    return worst < tol, worst, total, {"tolerance": tol}
+    return worst < tol, worst, total, {}
 
 
-def check_compose_born_factorization(settings):
+@check("compose", "compose.born_factorization", trials=300, tol=1e-12)
+def check_compose_born_factorization(settings, trials, tol):
     """Born distribution of a product state in a product basis factorizes."""
     rng = settings.rng("compose.born")
-    trials = settings.trial("compose_pairs", 300)
-    tol = settings.tol("compose", 1e-12)
     worst = 0.0
     for _ in range(trials):
         n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -427,14 +477,13 @@ def check_compose_born_factorization(settings):
         p1 = measurement.born_probs(v1, measurement.MeasurementBasis(u1))
         p2 = measurement.born_probs(v2, measurement.MeasurementBasis(u2))
         worst = max(worst, float(np.max(np.abs(joint - np.outer(p1, p2).ravel()))))
-    return worst < tol, worst, trials, {"tolerance": tol}
+    return worst < tol, worst, trials, {}
 
 
-def check_compose_energy_additivity(settings):
+@check("compose", "compose.energy_additivity", trials=1000, tol=1e-12)
+def check_compose_energy_additivity(settings, trials, tol):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
     rng = settings.rng("compose.energy")
-    trials = settings.trial("energy_trials", 1000)
-    tol = settings.tol("compose", 1e-12)
     worst = 0.0
     for _ in range(trials):
         s1 = _random_full_support_rep(int(rng.integers(2, 4)), rng)
@@ -443,14 +492,13 @@ def check_compose_energy_additivity(settings):
         dt = rng.uniform(0.0, 2.0)
         resid = composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0)
         worst = max(worst, float(resid))
-    return worst < tol, worst, trials, {"tolerance": tol}
+    return worst < tol, worst, trials, {}
 
 
-def check_compose_subsystem(settings):
+@check("compose", "compose.subsystem_observable", trials=200, tol=1e-12)
+def check_compose_subsystem(settings, trials, tol):
     """<A (x) I> on product states equals the single-system expectation."""
     rng = settings.rng("compose.subsystem")
-    trials = settings.trial("subsystem_trials", 200)
-    tol = settings.tol("compose", 1e-12)
     worst = 0.0
     for _ in range(trials):
         n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -463,9 +511,10 @@ def check_compose_subsystem(settings):
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
         b = measurement.expected_value(v1, obs)
         worst = max(worst, abs(a - b))
-    return worst < tol, worst, trials, {"tolerance": tol}
+    return worst < tol, worst, trials, {}
 
 
+@check("compose", "compose.degenerate_grouping")
 def check_compose_degenerate_example(settings):
     """Three results, two shared values: probabilities group as (p1, p2 + p3)."""
     basis = measurement.MeasurementBasis.standard(3)
@@ -485,11 +534,10 @@ def _random_full_support_rep(n, rng):
 # -------------------------------------------------------------- dynamics
 
 
-def check_dynamics_correspondence(settings):
+@check("dynamics", "dynamics.correspondence", trials=200, tol=1e-12)
+def check_dynamics_correspondence(settings, trials, tol):
     """Stationary phase evolution matches the classical action shift."""
     rng = settings.rng("dynamics.correspondence")
-    trials = settings.trial("dynamics_trials", 200)
-    tol = settings.tol("dynamics", 1e-12)
     alpha = 1.0
     worst = 0.0
     for _ in range(trials):
@@ -505,13 +553,13 @@ def check_dynamics_correspondence(settings):
         for f1, f2 in zip(via_hj.phi, via_phase.phi):
             d = abs(f1 - f2) % (2.0 * np.pi)
             worst = max(worst, min(d, 2.0 * np.pi - d))
-    return worst < tol, worst, trials, {"tolerance": tol}
+    return worst < tol, worst, trials, {}
 
 
-def check_dynamics_unitary(settings):
+@check("dynamics", "dynamics.unitary_evolution", trials=50)
+def check_dynamics_unitary(settings, trials):
     """Stationary evolution realifies to a map classified as unitary."""
     rng = settings.rng("dynamics.unitary")
-    trials = settings.trial("dynamics_trials", 50)
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         shift = rng.normal()
@@ -522,6 +570,7 @@ def check_dynamics_unitary(settings):
     return True, 0.0, trials, {}
 
 
+@check("dynamics", "dynamics.hj_residuals")
 def check_dynamics_residuals(settings):
     """Plane wave: residual 0; spreading family: second-order convergence."""
     m_mass, momentum = 1.0, 0.7
@@ -554,29 +603,29 @@ def check_dynamics_residuals(settings):
 # ------------------------------------------------------------------ haar
 
 
-def check_haar_metric_invariance(settings):
-    """|dv|^2 between nearby states is preserved by gauge maps."""
+@check("haar", "haar.metric_invariance", trials=100, tol=1e-10)
+def check_haar_metric_invariance(settings, trials, tol):
+    """|dv|^2 between nearby states is preserved by ``trials`` gauge maps per kind."""
     rng = settings.rng("haar.metric")
-    maps_per_kind = settings.trial("haar_maps", 100)
-    pairs = settings.trial("haar_pairs", 10_000) // (2 * maps_per_kind)
-    tol = settings.tol("metric_invariance", 1e-10)
+    pairs = HAAR_PAIRS_PER_MAP
     n = 3
     worst = 0.0
     total = 0
     for kind in ("unitary", "antiunitary"):
-        for k in range(maps_per_kind):
+        for k in range(trials):
             g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
             dev = sampling.metric_invariance_check(
                 g, pairs, seed=int(rng.integers(2**63)))
             worst = max(worst, dev)
             total += pairs
-    return worst < tol, worst, total, {"tolerance": tol, "pairs_per_map": pairs}
+    return worst < tol, worst, total, {"pairs_per_map": pairs}
 
 
+@check("haar", "haar.uniformity")
 def check_haar_uniformity(settings):
     """Pushforward of the uniform measure through a gauge map stays uniform."""
     rng = settings.rng("haar.uniformity")
-    samples = settings.trial("haar_samples", 100_000)
+    samples = 100_000  # fixed sample size
     n = 3
     results = {}
     ok = True
@@ -589,10 +638,11 @@ def check_haar_uniformity(settings):
     return ok, float(1.0 - min(results.values())), samples, {"min_p_values": results}
 
 
+@check("haar", "haar.negative_control")
 def check_haar_negative_control(settings):
     """A non-norm-preserving map visibly distorts the uniform measure."""
     rng = settings.rng("haar.negative")
-    samples = settings.trial("haar_samples", 100_000)
+    samples = 100_000  # fixed sample size
     n = 3
 
     def squarer(states):
@@ -604,12 +654,13 @@ def check_haar_negative_control(settings):
         "min_p_value": float(min(rep["p_values"].values()))}
 
 
+@check("haar", "haar.rotation_invariance")
 def check_haar_rotation_invariance(settings):
     """Projections of uniform samples onto any fixed direction agree (KS test)."""
     from scipy import stats
 
     rng = settings.rng("haar.rotation")
-    samples = settings.trial("haar_ks_samples", 20_000)
+    samples = 20_000  # fixed sample size
     n = 3
     states = sampling.sample_uniform(sampling.StateSampler(n, 0), samples, rng=rng)
     qs = np.hstack([states.real, states.imag])
@@ -619,64 +670,3 @@ def check_haar_rotation_invariance(settings):
     u2 /= np.linalg.norm(u2)
     stat, p = stats.ks_2samp(qs @ u1, qs @ u2)
     return p >= 0.001, float(stat), samples, {"p_value": float(p)}
-
-
-# -------------------------------------------------------------- registry
-
-SUITES = {
-    "metric": [
-        ("metric.pullback", check_metric_pullback),
-        ("metric.qspace_euclidean", check_metric_qspace),
-        ("metric.geodesic", check_metric_geodesic),
-    ],
-    "coin": [
-        ("coin.expansion", check_coin_expansion),
-        ("coin.monte_carlo", check_coin_monte_carlo),
-    ],
-    "measure-solver": [
-        ("measure.ode_vs_closed_form", check_measure_ode),
-        ("measure.invariant_density", check_measure_invariant_density),
-        ("measure.counterexamples", check_measure_counterexamples),
-        ("measure.ode_convergence", check_measure_convergence),
-    ],
-    "classify": [
-        ("classify.roundtrip", check_classify_roundtrip),
-        ("classify.rejects_generic", check_classify_rejects_generic),
-        ("classify.witness_agreement", check_classify_witness_agreement),
-        ("classify.composition", check_classify_composition),
-    ],
-    "born": [
-        ("born.exact", check_born_exact),
-    ],
-    "simulate": [
-        ("simulate.frequencies", check_born_sampled),
-        ("simulate.reproducibility", check_born_reproducible),
-    ],
-    "compose": [
-        ("compose.dual_route", check_compose_dual_route),
-        ("compose.born_factorization", check_compose_born_factorization),
-        ("compose.energy_additivity", check_compose_energy_additivity),
-        ("compose.subsystem_observable", check_compose_subsystem),
-        ("compose.degenerate_grouping", check_compose_degenerate_example),
-    ],
-    "dynamics": [
-        ("dynamics.correspondence", check_dynamics_correspondence),
-        ("dynamics.unitary_evolution", check_dynamics_unitary),
-        ("dynamics.hj_residuals", check_dynamics_residuals),
-    ],
-    "haar": [
-        ("haar.metric_invariance", check_haar_metric_invariance),
-        ("haar.uniformity", check_haar_uniformity),
-        ("haar.negative_control", check_haar_negative_control),
-        ("haar.rotation_invariance", check_haar_rotation_invariance),
-    ],
-}
-
-
-def run_suite(names, settings):
-    """Run the named suites in order, yielding one report dict per check."""
-    for suite in names:
-        for check_name, fn in SUITES[suite]:
-            report = run_check(check_name, fn, settings)
-            report["suite"] = suite
-            yield report

@@ -8,7 +8,7 @@ phase).  Result i then occurs with probability |<v'_i, v>|^2 and no
 prediction depends on the free phases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

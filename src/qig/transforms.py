@@ -118,25 +118,22 @@ def classify(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
 
 def realify_unitary(v, tol=ORTHO_TOL):
     """Orthogonal 2N x 2N realization of a unitary: blocks alpha R(phi)."""
-    v = _as_unitary(v, tol)
-    n = v.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[0::2, 0::2] = v.real
-    m[0::2, 1::2] = -v.imag
-    m[1::2, 0::2] = v.imag
-    m[1::2, 1::2] = v.real
-    return m
+    return _realify_blocks(_as_unitary(v, tol), 1.0)
 
 
 def realify_antiunitary(v, tol=ORTHO_TOL):
     """Orthogonal realization of v -> V conj(v): blocks alpha R(phi) F."""
-    v = _as_unitary(v, tol)
+    return _realify_blocks(_as_unitary(v, tol), -1.0)
+
+
+def _realify_blocks(v, sign):
+    """Real 2N x 2N blocks [[re, -sign im], [im, sign re]] of V; sign -1 conjugates first."""
     n = v.shape[0]
     m = np.zeros((2 * n, 2 * n))
     m[0::2, 0::2] = v.real
-    m[0::2, 1::2] = v.imag
+    m[0::2, 1::2] = -sign * v.imag
     m[1::2, 0::2] = v.imag
-    m[1::2, 1::2] = -v.real
+    m[1::2, 1::2] = sign * v.real
     return m
 
 
@@ -217,11 +214,7 @@ def unitarity_orthogonality_bridge(v):
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[0::2, 0::2] = v.real
-    m[0::2, 1::2] = -v.imag
-    m[1::2, 0::2] = v.imag
-    m[1::2, 1::2] = v.real
+    m = _realify_blocks(v, 1.0)
     r_real = float(np.linalg.norm(m.T @ m - np.eye(2 * n)))
     r_cplx = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
     return r_real, r_cplx

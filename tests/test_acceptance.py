@@ -11,9 +11,9 @@ import time
 import pytest
 
 from qig import cli
-from qig.harness import SUITES, Settings
+from qig.harness import SUITES, Settings, run_check
 
-CHECKS = {name: fn for checks in SUITES.values() for name, fn in checks}
+CHECKS = {entry[0]: (suite, entry) for suite, entries in SUITES.items() for entry in entries}
 
 SETTINGS = Settings()
 
@@ -23,10 +23,10 @@ def run_criterion(capsys, number, description, check_names, budget_seconds):
     failures = []
     worsts = {}
     for name in check_names:
-        passed, worst, _, details = CHECKS[name](SETTINGS)
-        worsts[name] = worst
-        if not passed:
-            failures.append((name, worst, details))
+        report = run_check(*CHECKS[name], SETTINGS)
+        worsts[name] = report["max_residual"]
+        if report["status"] != "pass":
+            failures.append((name, report["max_residual"], report["details"]))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < budget_seconds
     with capsys.disabled():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qig import cli
-from qig.harness import SUITES
+from qig.harness import SUITES, overridable
 
 
 def run_cli(argv, capsys):
@@ -65,6 +65,13 @@ def test_all_runs_every_suite(capsys):
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["no-such-suite"])
+    # override keys are suite names that declare the knob; others exit 2
+    for argv in (["metric", "--tol", "metric_pulback=0", "--trials", "20"],
+                 ["coin", "--tol", "coin=1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "valid keys: born, classify, compose" in capsys.readouterr().err
 
 
 def test_tolerance_override_can_force_failure(capsys):
@@ -104,6 +111,13 @@ def test_config_file_and_env_var(tmp_path, capsys, monkeypatch):
     _, summary = parse_reports(out)
     assert summary["seed"] == 5
 
+    # unknown keys in the config's trials or tolerances are errors
+    for bad in ({"trials": {"metric_trials": 25}}, {"tolerances": {"geodesic": 1.0}}):
+        config.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["metric", "--config", str(config)])
+        assert exc.value.code == 2
+
 
 def test_report_fields(capsys):
     _, out = run_cli(["coin", "--seed", "1"], capsys)
@@ -112,3 +126,27 @@ def test_report_fields(capsys):
         assert {"suite", "check", "status", "seed",
                 "max_residual", "trials", "elapsed"} <= set(r)
         assert r["status"] in ("pass", "fail", "error")
+
+    # trials reports what ran: --trials reaches every declared count, and
+    # the fixed-sample checks keep theirs; a declared tolerance is top-level
+    _, out = run_cli(["simulate", "--trials", "20"], capsys)
+    reports, _ = parse_reports(out)
+    assert {r["check"]: r["trials"] for r in reports} == {
+        "simulate.reproducibility": 20, "simulate.frequencies": 100_000}
+    _, out = run_cli(["haar", "--trials", "20", "--tol", "haar=1e-9"], capsys)
+    reports, _ = parse_reports(out)
+    metric = next(r for r in reports if r["check"] == "haar.metric_invariance")
+    assert metric["trials"] == 2000
+    assert metric["tolerance"] == 1e-9 and "tolerance" not in metric["details"]
+
+
+@pytest.mark.parametrize("suite", overridable("trials"))
+def test_trials_reach_every_declared_count(suite, capsys):
+    counts = []
+    for trials in ("4", "6"):
+        _, out = run_cli([suite, "--n", "2", "--trials", trials], capsys)
+        reports, _ = parse_reports(out)
+        counts.append({r["check"]: r["trials"] for r in reports})
+    for name, _, default_trials, _ in SUITES[suite]:
+        if default_trials is not None:
+            assert counts[0][name] != counts[1][name], name
