@@ -14,7 +14,7 @@ s1 = qspace.PhaseRep(p=[0.25, 0.75], phi=(0.0, 1.0))
 s2 = qspace.PhaseRep(p=[0.5, 0.5], phi=(0.2, 2.2))
 joint = composite.compose_phase_reps(s1, s2)
 print(f"composite probabilities: {np.round(joint.p, 4)}")
-print(f"composite phases:        {tuple(round(f, 4) for f in joint.phi)}")
+print(f"composite phases:        {np.round(joint.phi, 4)}")
 
 v = composite.tensor(qspace.to_complex(qspace.from_phase_rep(s1)),
                      qspace.to_complex(qspace.from_phase_rep(s2)))

@@ -10,8 +10,7 @@ import numpy as np
 from qig import sampling, transforms
 
 n = 3
-sampler = sampling.StateSampler(dim=n, seed=1)
-states = sampling.sample_uniform(sampler, 100_000)
+states = sampling.sample_uniform(n, 100_000, np.random.default_rng(1))
 print(f"sampled {states.shape[0]} uniform states of dimension {n}")
 print(f"mean |v_0|^2 = {np.mean(np.abs(states[:, 0]) ** 2):.4f} (exact: 1/{n})")
 
@@ -25,8 +24,7 @@ report = sampling.measure_invariance_check(g, samples=100_000, bins=50, seed=4)
 print(f"measure invariance chi-squared: passed = {report['passed']}, "
       f"min p-value {min(report['p_values'].values()):.3f}")
 
-control = sampling.measure_invariance_check(
-    n, samples=100_000, bins=50, seed=5,
-    transform=lambda s: s ** 2)
+control = sampling.pushforward_uniformity(
+    lambda s: s ** 2, n, samples=100_000, bins=50, seed=5)
 print(f"negative control (componentwise squaring): passed = {control['passed']}, "
       f"min p-value {min(control['p_values'].values()):.2e}")

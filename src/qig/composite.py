@@ -29,20 +29,14 @@ def split_index(n1, n2, l):
 def compose_phase_reps(s1, s2):
     """Composite phase representation: p''_l = p_i p'_j, phi''_l = phi_i + phi'_j.
 
-    Entries with zero probability get an absent phase.  Both factors
-    must share the a, b convention.
+    Entries with zero probability get an absent (NaN) phase.  Both
+    factors must share the a, b convention.
     """
     if (s1.a, s1.b) != (s2.a, s2.b):
         raise ValueError("factors use different phase conventions")
-    p = np.outer(s1.p, s2.p).ravel()
-    phi = []
-    for f1 in s1.phi:
-        for f2 in s2.phi:
-            if f1 is None or f2 is None:
-                phi.append(None)
-            else:
-                phi.append((f1 + f2) % TWO_PI)
-    return PhaseRep(p=p / p.sum(), phi=tuple(phi), a=s1.a, b=s1.b)
+    p = np.multiply.outer(s1.p, s2.p).ravel()
+    phi = np.add.outer(s1.phi, s2.phi).ravel()
+    return PhaseRep(p=p / p.sum(), phi=phi, a=s1.a, b=s1.b)
 
 
 def tensor(v1, v2):
@@ -104,12 +98,8 @@ def energy_additivity_check(s1, s2, e1, e2, dt, alpha):
         evolve_stationary(s2, e2, dt, alpha),
     )
     second = evolve_stationary(compose_phase_reps(s1, s2), e1 + e2, dt, alpha)
-    worst = 0.0
-    for f1, f2 in zip(first.phi, second.phi):
-        if (f1 is None) != (f2 is None):
-            return np.pi  # support mismatch: maximal discrepancy
-        if f1 is None:
-            continue
-        d = abs(f1 - f2) % TWO_PI
-        worst = max(worst, min(d, TWO_PI - d))
-    return worst
+    live = first.p > 0
+    if not np.array_equal(live, second.p > 0):
+        return np.pi  # support mismatch: maximal discrepancy
+    d = np.abs(first.phi[live] - second.phi[live]) % TWO_PI
+    return float(np.max(np.minimum(d, TWO_PI - d)))

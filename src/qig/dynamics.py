@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qspace import TWO_PI, PhaseRep
+from .qspace import PhaseRep
 
 
 def evolve_stationary(rep, energy, dt, alpha):
@@ -21,8 +21,7 @@ def evolve_stationary(rep, energy, dt, alpha):
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     shift = rep.a * energy * dt / alpha
-    phi = tuple(None if f is None else (f - shift) % TWO_PI for f in rep.phi)
-    return PhaseRep(p=rep.p, phi=phi, a=rep.a, b=rep.b)
+    return PhaseRep(p=rep.p, phi=rep.phi - shift, a=rep.a, b=rep.b)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class HJGridState:
             raise ValueError("mass must be positive")
         if P.shape != S.shape or P.ndim != 1:
             raise ValueError("P and S must be 1-D arrays of equal length")
-        if np.any(P < 0) or abs(P.sum() - 1.0) > 1e-9:
+        if not (P.min() >= 0 and abs(P.sum() - 1.0) <= 1e-9):  # fails on NaN
             raise ValueError("P must be a probability vector over sites")
         V = np.zeros_like(P) if self.V is None else np.asarray(self.V, dtype=float)
         if V.shape != P.shape:
@@ -113,10 +112,7 @@ def phase_rep_from_hj(state, alpha, a=1.0, b=0.0):
     """Map (p_i; S_i) to the phase representation via chi_i = S_i / alpha."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    phi = tuple(
-        (a * (s / alpha) + b) % TWO_PI if p > 0 else None
-        for p, s in zip(state.P, state.S)
-    )
+    phi = np.where(state.P > 0, a * (state.S / alpha) + b, np.nan)
     return PhaseRep(p=state.P, phi=phi, a=a, b=b)
 
 

@@ -389,7 +389,7 @@ def check_born_exact(settings, trials, tol):
     for n in (2, 3, 5):
         for _ in range(trials):
             basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
-            v = sampling.sample_uniform(sampling.StateSampler(n, 0), 1, rng=rng)[0]
+            v = sampling.sample_uniform(n, 1, rng)[0]
             arr = measurement.build_simulation(
                 basis, theta=rng.uniform(0, 2 * np.pi, n),
                 theta_out=rng.uniform(0, 2 * np.pi, n))
@@ -407,7 +407,7 @@ def check_born_sampled(settings):
     trials = 100_000  # fixed sample size
     n = 3
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
-    v = sampling.sample_uniform(sampling.StateSampler(n, 0), 1, rng=rng)[0]
+    v = sampling.sample_uniform(n, 1, rng)[0]
     arr = measurement.build_simulation(basis)
     p = measurement.born_probs(v, basis)
     counts = np.zeros(n, dtype=int)
@@ -428,7 +428,7 @@ def check_born_reproducible(settings, trials):
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
     arr = measurement.build_simulation(
         basis, theta=rng.uniform(0, 2 * np.pi, n), theta_out=rng.uniform(0, 2 * np.pi, n))
-    v = sampling.sample_uniform(sampling.StateSampler(n, 0), 1, rng=rng)[0]
+    v = sampling.sample_uniform(n, 1, rng)[0]
     mismatches = 0
     for _ in range(trials):
         i, out = measurement.simulate_measurement(arr, v, rng)
@@ -470,8 +470,8 @@ def check_compose_born_factorization(settings, trials, tol):
     for _ in range(trials):
         n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         u1, u2 = sampling.haar_unitary(n1, rng), sampling.haar_unitary(n2, rng)
-        v1 = sampling.sample_uniform(sampling.StateSampler(n1, 0), 1, rng=rng)[0]
-        v2 = sampling.sample_uniform(sampling.StateSampler(n2, 0), 1, rng=rng)[0]
+        v1 = sampling.sample_uniform(n1, 1, rng)[0]
+        v2 = sampling.sample_uniform(n2, 1, rng)[0]
         basis = measurement.MeasurementBasis(np.kron(u1, u2))
         joint = measurement.born_probs(composite.tensor(v1, v2), basis)
         p1 = measurement.born_probs(v1, measurement.MeasurementBasis(u1))
@@ -505,8 +505,8 @@ def check_compose_subsystem(settings, trials, tol):
         obs = measurement.Observable(
             basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng)),
             values=rng.normal(size=n1))
-        v1 = sampling.sample_uniform(sampling.StateSampler(n1, 0), 1, rng=rng)[0]
-        v2 = sampling.sample_uniform(sampling.StateSampler(n2, 0), 1, rng=rng)[0]
+        v1 = sampling.sample_uniform(n1, 1, rng)[0]
+        v2 = sampling.sample_uniform(n2, 1, rng)[0]
         lifted = composite.subsystem_observable(obs, n2, position="first")
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
         b = measurement.expected_value(v1, obs)
@@ -527,7 +527,7 @@ def check_compose_degenerate_example(settings):
 
 def _random_full_support_rep(n, rng):
     p = simplex.renormalized(rng.random(n) + 0.05)
-    phi = tuple(rng.uniform(0.0, 2.0 * np.pi, n))
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
     return qspace.PhaseRep(p=p, phi=phi)
 
 
@@ -550,9 +550,8 @@ def check_dynamics_correspondence(settings, trials, tol):
             dynamics.hj_stationary_step(state, e, dt), alpha)
         via_phase = dynamics.evolve_stationary(
             dynamics.phase_rep_from_hj(state, alpha), e, dt, alpha)
-        for f1, f2 in zip(via_hj.phi, via_phase.phi):
-            d = abs(f1 - f2) % (2.0 * np.pi)
-            worst = max(worst, min(d, 2.0 * np.pi - d))
+        d = np.abs(via_hj.phi - via_phase.phi) % (2.0 * np.pi)
+        worst = max(worst, float(np.max(np.minimum(d, 2.0 * np.pi - d))))
     return worst < tol, worst, trials, {}
 
 
@@ -648,8 +647,8 @@ def check_haar_negative_control(settings):
     def squarer(states):
         return states**2
 
-    rep = sampling.measure_invariance_check(
-        n, samples, bins=50, seed=int(rng.integers(2**63)), transform=squarer)
+    rep = sampling.pushforward_uniformity(
+        squarer, n, samples, bins=50, seed=int(rng.integers(2**63)))
     return (not rep["passed"]), float(min(rep["p_values"].values())), samples, {
         "min_p_value": float(min(rep["p_values"].values()))}
 
@@ -662,7 +661,7 @@ def check_haar_rotation_invariance(settings):
     rng = settings.rng("haar.rotation")
     samples = 20_000  # fixed sample size
     n = 3
-    states = sampling.sample_uniform(sampling.StateSampler(n, 0), samples, rng=rng)
+    states = sampling.sample_uniform(n, samples, rng)
     qs = np.hstack([states.real, states.imag])
     u1 = rng.normal(size=2 * n)
     u1 /= np.linalg.norm(u1)

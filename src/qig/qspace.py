@@ -6,7 +6,9 @@ unit vector Q with outcome probabilities P_q = Q_q^2, and carries a
 binary polarity sign(Q_q) per outcome with nonzero probability.  In the
 phase representation Q = (sqrt(p_1) cos(phi_1), sqrt(p_1) sin(phi_1),
 ..., sqrt(p_N) sin(phi_N)), and the complex form v_i = sqrt(p_i)
-e^{i phi_i} packs each outcome pair into one complex amplitude.
+e^{i phi_i} packs each outcome pair into one complex amplitude.  Phases
+are a float array with NaN exactly at the zero-probability results,
+so composition and evolution act on whole phase vectors.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ def as_qvector(q, tol=NORM_TOL):
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size % 2 != 0 or q.size == 0:
         raise ValueError("state vector must be 1-D with even, positive length")
-    if abs(np.sum(q * q) - 1.0) > tol:
+    if not abs(np.sum(q * q) - 1.0) <= tol:  # also fails on NaN
         raise ValueError(f"state vector has squared norm {np.sum(q * q)!r}, not 1")
     return q
 
@@ -36,7 +38,7 @@ def as_pure_state(v, tol=NORM_TOL):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("state must be a nonempty 1-D complex vector")
-    if abs(np.sum(np.abs(v) ** 2) - 1.0) > tol:
+    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= tol:  # also fails on NaN
         raise ValueError(f"state has squared norm {np.sum(np.abs(v) ** 2)!r}, not 1")
     return v
 
@@ -45,54 +47,51 @@ def as_pure_state(v, tol=NORM_TOL):
 class PhaseRep:
     """State as result probabilities plus one phase per nonzero result.
 
-    ``phi`` holds ``None`` wherever ``p`` is zero -- the phase is
-    undefined there, not merely unknown.  Present phases are stored
-    reduced to [0, 2pi).  ``a`` and ``b`` record the affine map
+    ``phi`` is a read-only float array, NaN exactly where ``p`` is zero --
+    the phase is undefined there, not merely unknown.  ``None`` entries
+    on input are read as NaN.  Present phases must be finite and are
+    stored reduced to [0, 2pi).  ``a`` and ``b`` record the affine map
     phi = a*chi + b to the underlying dimensionless degree of freedom;
     their values are conventional here (a=1, b=0 by default).
     """
 
     p: np.ndarray
-    phi: tuple
+    phi: np.ndarray
     a: float = 1.0
     b: float = 0.0
 
     def __post_init__(self):
-        p = as_prob_vec(np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "p", p)
-        if len(self.phi) != p.size:
+        p = as_prob_vec(self.p)
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.shape != p.shape:
             raise ValueError("p and phi must have the same length")
         if self.a == 0:
             raise ValueError("a must be nonzero")
-        phi = []
-        for pi, f in zip(p, self.phi):
-            if pi > 0:
-                if f is None:
-                    raise ValueError("phase missing at a nonzero-probability result")
-                phi.append(float(f) % TWO_PI)
-            else:
-                if f is not None:
-                    raise ValueError("phase present at a zero-probability result")
-                phi.append(None)
-        object.__setattr__(self, "phi", tuple(phi))
+        live = p.astype(bool)  # p > 0, since p >= 0
+        if np.count_nonzero((np.isnan(phi) == live) | np.isinf(phi)):
+            raise ValueError("phases must be finite where p > 0 and NaN where p == 0")
+        # reduce twice: x % 2pi rounds to 2pi for tiny negative x
+        phi = phi % TWO_PI % TWO_PI
+        phi.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def dim(self):
         return self.p.size
 
     def chi(self):
-        """Recover the underlying chi_i = (phi_i - b) / a (None where absent)."""
-        return tuple(None if f is None else (f - self.b) / self.a for f in self.phi)
+        """Recover the underlying chi_i = (phi_i - b) / a (NaN where absent)."""
+        return (self.phi - self.b) / self.a
 
 
 def from_phase_rep(rep):
     """Build the 2N-real state vector from a phase representation."""
-    q = np.zeros(2 * rep.dim)
-    for i, (pi, f) in enumerate(zip(rep.p, rep.phi)):
-        if pi > 0:
-            r = np.sqrt(pi)
-            q[2 * i] = r * np.cos(f)
-            q[2 * i + 1] = r * np.sin(f)
+    r = np.sqrt(rep.p)
+    phi = np.fmax(rep.phi, 0.0)  # 0 where absent (NaN); present phases are >= 0
+    q = np.empty(2 * rep.dim)
+    q[0::2] = r * np.cos(phi)
+    q[1::2] = r * np.sin(phi)
     return q
 
 
@@ -104,10 +103,7 @@ def to_phase_rep(q, a=1.0, b=0.0):
     q = as_qvector(q)
     pairs = q.reshape(-1, 2)
     p = pairs[:, 0] ** 2 + pairs[:, 1] ** 2
-    phi = tuple(
-        float(np.arctan2(y, x)) % TWO_PI if pi > 0 else None
-        for (x, y), pi in zip(pairs, p)
-    )
+    phi = np.where(p > 0, np.arctan2(pairs[:, 1], pairs[:, 0]), np.nan)
     # guard against rounding pushing the sum off 1
     p = p / p.sum()
     return PhaseRep(p=p, phi=phi, a=a, b=b)

@@ -4,39 +4,32 @@ The Euclidean metric on the 2N-real state space induces the uniform
 measure on the unit hypersphere.  In complex form the metric is
 ds^2 = |dv|^2, invariant under unitary and antiunitary maps, and the
 uniform measure inherits that invariance.  Sampling is by normalizing
-2N independent standard normals.
+2N independent standard normals drawn from a caller's generator:
+``sample_uniform(n, count, rng)``.  ``measure_invariance_check`` tests a
+gauge map; ``pushforward_uniformity`` tests any callable, which is how
+negative controls are run.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .transforms import GaugeMap, apply
+from .transforms import apply
 
 
-@dataclass(frozen=True)
-class StateSampler:
-    """Seeded sampler of uniformly distributed pure states of dimension N."""
-
-    dim: int
-    seed: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-
-    def rng(self):
-        return np.random.default_rng(self.seed)
+# family-wise false-alarm rate of the Bonferroni uniformity verdict
+SIGNIFICANCE = 0.001
 
 
-def sample_uniform(sampler, count, rng=None):
-    """``count`` independent uniform pure states, rows of a (count, N) array."""
+def sample_uniform(n, count, rng):
+    """``count`` independent uniform pure states of dimension ``n``.
+
+    Rows of a (count, n) complex array, drawn from the generator ``rng``.
+    """
+    if n < 1:
+        raise ValueError("dimension must be positive")
     if count < 1:
         raise ValueError("count must be positive")
-    if rng is None:
-        rng = sampler.rng()
-    z = rng.normal(size=(count, sampler.dim)) + 1j * rng.normal(size=(count, sampler.dim))
+    z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -68,9 +61,8 @@ def metric_invariance_check(g, pairs, seed, displacement=1e-4):
         raise ValueError("map must be unitary or antiunitary")
     n = g.v.shape[0]
     rng = np.random.default_rng(seed)
-    sampler = StateSampler(dim=n, seed=0)
     worst = 0.0
-    vs = sample_uniform(sampler, pairs, rng=rng)
+    vs = sample_uniform(n, pairs, rng)
     for v in vs:
         dv = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = v + displacement * dv / np.linalg.norm(dv)
@@ -112,34 +104,35 @@ def _chi2_uniform(u, bins):
     return float(stats.chi2.sf(stat, df=bins - 1))
 
 
-def measure_invariance_check(g, samples, bins, seed, significance=0.001,
-                             transform=None):
+def measure_invariance_check(g, samples, bins, seed):
+    """Test that the gauge map ``g`` pushes the uniform measure to itself.
+
+    See :func:`pushforward_uniformity` for the test and its result.
+    """
+    if not g.is_gauge_invariant:
+        raise ValueError("map must be unitary or antiunitary")
+    if g.kind == "unitary":
+        transform = lambda states: states @ g.v.T
+    else:
+        transform = lambda states: states.conj() @ g.v.T
+    return pushforward_uniformity(transform, g.v.shape[0], samples, bins, seed)
+
+
+def pushforward_uniformity(transform, n, samples, bins, seed):
     """Test that the pushforward of the uniform measure stays uniform.
 
-    Pushes ``samples`` uniform states through the gauge map ``g`` (or
-    through an arbitrary ``transform`` callable, for negative controls)
-    and chi-squared-tests the uniformity statistics.  Returns a dict
-    with the per-statistic p-values and a Bonferroni verdict at the
-    given significance.
+    Pushes ``samples`` uniform states of dimension ``n``, drawn from
+    ``seed``, through ``transform`` (which maps an array of row states
+    to row states; any callable, so negative controls call this
+    directly), renormalizes, and chi-squared-tests the uniformity
+    statistics.  Returns a dict with the per-statistic p-values and a
+    Bonferroni verdict at significance ``SIGNIFICANCE``.
     """
-    if transform is None:
-        if not g.is_gauge_invariant:
-            raise ValueError("map must be unitary or antiunitary")
-        n = g.v.shape[0]
-        if g.kind == "unitary":
-            transform = lambda states: states @ g.v.T
-        else:
-            transform = lambda states: states.conj() @ g.v.T
-    else:
-        # negative-control mode: ``g`` is the dimension, ``transform``
-        # maps an array of row states to row states
-        n = int(g)
-    sampler = StateSampler(dim=n, seed=seed)
-    states = sample_uniform(sampler, samples)
+    states = sample_uniform(n, samples, np.random.default_rng(seed))
     pushed = transform(states)
     pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
     pvals = _uniformity_pvalues(pushed, bins)
-    threshold = significance / max(len(pvals), 1)
+    threshold = SIGNIFICANCE / max(len(pvals), 1)
     verdict = all(p >= threshold for p in pvals.values())
     return {"p_values": pvals, "passed": verdict,
-            "significance": significance, "threshold": threshold}
+            "significance": SIGNIFICANCE, "threshold": threshold}

@@ -23,11 +23,12 @@ def as_prob_vec(p, tol=NORM_TOL):
     Entries must be nonnegative and sum to 1 within ``tol``.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-D")
-    if np.any(p < 0):
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probability vector must be 1-D and nonempty")
+    # comparisons written to fail on NaN
+    if not p.min() >= 0:
         raise ValueError("probability entries must be nonnegative")
-    if abs(p.sum() - 1.0) > tol:
+    if not abs(p.sum() - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 
@@ -35,11 +36,11 @@ def as_prob_vec(p, tol=NORM_TOL):
 def renormalized(p):
     """Construct a probability vector from unnormalized nonnegative weights."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
+    if not p.min() >= 0:
         raise ValueError("weights must be nonnegative")
     s = p.sum()
-    if s <= 0:
-        raise ValueError("weights must not all be zero")
+    if not 0 < s < np.inf:
+        raise ValueError("weights must be finite and not all zero")
     return p / s
 
 
@@ -48,7 +49,7 @@ def as_tangent_vec(dp, tol=NORM_TOL):
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1:
         raise ValueError("tangent vector must be 1-D")
-    if abs(dp.sum()) > tol:
+    if not abs(dp.sum()) <= tol:
         raise ValueError(f"displacement entries sum to {dp.sum()!r}, not 0")
     return dp
 

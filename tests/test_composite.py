@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qig import composite, measurement, qspace
 from qig.sampling import haar_unitary
@@ -29,7 +29,7 @@ def test_compose_vertices():
     s1 = qspace.PhaseRep(p=[1.0, 0.0], phi=(0.0, None))
     out = composite.compose_phase_reps(s1, s1)
     assert_allclose(out.p, [1, 0, 0, 0], atol=0)
-    assert out.phi == (0.0, None, None, None)
+    assert_array_equal(out.phi, [0.0, np.nan, np.nan, np.nan])
 
 
 def test_compose_half_half_with_vertex():
@@ -39,7 +39,7 @@ def test_compose_half_half_with_vertex():
     assert_allclose(out.p, [0.5, 0, 0.5, 0], atol=0)
     assert out.phi[0] == 0.0
     assert out.phi[2] == pytest.approx(np.pi / 2)
-    assert out.phi[1] is None and out.phi[3] is None
+    assert np.isnan(out.phi[1]) and np.isnan(out.phi[3])
 
 
 def test_compose_probabilities_sum_to_one():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qig import dynamics, qspace, transforms
 
@@ -12,7 +12,7 @@ def rep(p, phi):
 def test_zero_energy_is_identity():
     r = rep([0.5, 0.5], (0.3, 1.2))
     out = dynamics.evolve_stationary(r, 0.0, 5.0, alpha=2.0)
-    assert out.phi == r.phi
+    assert_array_equal(out.phi, r.phi)
     assert_allclose(out.p, r.p, atol=0)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from qig import qspace
+from qig import dynamics, qspace, simplex
 
 
 def random_phase_rep(n, rng, full_support=True):
@@ -21,6 +21,37 @@ def test_phase_rep_validation():
         qspace.PhaseRep(p=[1.0, 0.0], phi=(0.0, 0.0))  # phase at p=0
     rep = qspace.PhaseRep(p=[1.0, 0.0], phi=(-np.pi, None))
     assert rep.phi[0] == pytest.approx(np.pi)  # stored in [0, 2pi)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: simplex.as_prob_vec([np.nan, 0.5]), id="as_prob_vec"),
+    pytest.param(lambda: simplex.renormalized([np.nan, 1.0]), id="renormalized-nan"),
+    pytest.param(lambda: simplex.renormalized([np.inf, 1.0]), id="renormalized-inf"),
+    pytest.param(lambda: simplex.as_tangent_vec([np.nan, 0.0]), id="as_tangent_vec"),
+    pytest.param(lambda: qspace.as_qvector([np.nan, 0.0]), id="as_qvector"),
+    pytest.param(lambda: qspace.as_pure_state([np.nan]), id="as_pure_state"),
+    pytest.param(lambda: qspace.to_phase_rep([np.nan, 0.0]), id="to_phase_rep"),
+    pytest.param(lambda: qspace.PhaseRep(p=[1.0], phi=(np.inf,)), id="phase-inf"),
+    pytest.param(lambda: qspace.PhaseRep(p=[1.0], phi=(np.nan,)), id="phase-nan"),
+    pytest.param(lambda: qspace.PhaseRep(p=[1.0, 0.0], phi=(0.0, -np.inf)),
+                 id="phase-inf-at-p0"),
+    pytest.param(lambda: dynamics.HJGridState(h=0.1, x0=0.0, P=[np.nan, 1.0],
+                                              S=[0.0, 0.0], m=1.0), id="HJGridState"),
+])
+def test_validators_reject_non_finite(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_phases_stay_below_two_pi():
+    assert qspace.PhaseRep(p=[1.0], phi=(-1e-20,)).phi[0] == 0.0
+    assert qspace.to_phase_rep([1.0, -1e-300]).phi[0] == 0.0
+
+
+def test_phases_are_read_only():
+    rep = qspace.PhaseRep(p=[0.5, 0.5], phi=(0.1, 0.2))
+    with pytest.raises(ValueError):
+        rep.phi[0] = 0.3
 
 
 def test_from_phase_rep_vertex():
@@ -46,7 +77,7 @@ def test_from_phase_rep_always_unit():
 def test_to_phase_rep_examples():
     rep = qspace.to_phase_rep(np.array([1.0, 0, 0, 0]))
     assert_allclose(rep.p, [1, 0], atol=1e-15)
-    assert rep.phi == (0.0, None)
+    assert_array_equal(rep.phi, [0.0, np.nan])
 
     rep = qspace.to_phase_rep(np.array([0.6, 0, 0, 0.8]))
     assert_allclose(rep.p, [0.36, 0.64], rtol=1e-15)

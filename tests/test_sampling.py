@@ -6,16 +6,16 @@ from qig import sampling, transforms
 
 
 def test_sampler_validation():
+    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        sampling.StateSampler(dim=0, seed=1)
+        sampling.sample_uniform(0, 1, rng)
     with pytest.raises(ValueError):
-        sampling.sample_uniform(sampling.StateSampler(dim=2, seed=1), 0)
+        sampling.sample_uniform(2, 0, rng)
 
 
 def test_samples_are_normalized_and_deterministic():
-    sampler = sampling.StateSampler(dim=4, seed=99)
-    a = sampling.sample_uniform(sampler, 100)
-    b = sampling.sample_uniform(sampler, 100)
+    a = sampling.sample_uniform(4, 100, np.random.default_rng(99))
+    b = sampling.sample_uniform(4, 100, np.random.default_rng(99))
     assert np.array_equal(a, b)
     norms = np.linalg.norm(a, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -45,8 +45,7 @@ def test_haar_unitary_eigenangles_uniform():
 def test_component_probability_beta_law():
     # |v_0|^2 of a uniform state in dimension N is Beta(1, N-1)
     for n in (2, 3, 5):
-        sampler = sampling.StateSampler(dim=n, seed=7)
-        states = sampling.sample_uniform(sampler, 20000)
+        states = sampling.sample_uniform(n, 20000, np.random.default_rng(7))
         probs = np.abs(states[:, 0]) ** 2
         assert stats.kstest(probs, stats.beta(1, n - 1).cdf).pvalue > 1e-4
 
@@ -80,8 +79,8 @@ def test_measure_invariance_negative_control():
     def squarer(states):
         return states ** 2
 
-    result = sampling.measure_invariance_check(3, samples=20000, bins=40,
-                                               seed=13, transform=squarer)
+    result = sampling.pushforward_uniformity(squarer, 3, samples=20000, bins=40,
+                                             seed=13)
     assert not result["passed"]
 
 
