@@ -29,14 +29,17 @@ def split_index(n1, n2, l):
 def compose_phase_reps(s1, s2):
     """Composite phase representation: p''_l = p_i p'_j, phi''_l = phi_i + phi'_j.
 
-    Entries with zero probability get an absent (NaN) phase.  Both
-    factors must share the a, b convention.
+    Entries with zero probability, underflowed products included, get an
+    absent (NaN) phase.  Both factors must share the a, b convention.
     """
     if (s1.a, s1.b) != (s2.a, s2.b):
         raise ValueError("factors use different phase conventions")
     p = np.multiply.outer(s1.p, s2.p).ravel()
+    p /= p.sum()
     phi = np.add.outer(s1.phi, s2.phi).ravel()
-    return PhaseRep(p=p / p.sum(), phi=phi, a=s1.a, b=s1.b)
+    if np.count_nonzero(p) < p.size:  # a product of nonzero probabilities can underflow
+        phi[p == 0] = np.nan
+    return PhaseRep(p=p, phi=phi, a=s1.a, b=s1.b)
 
 
 def tensor(v1, v2):

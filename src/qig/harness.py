@@ -23,6 +23,8 @@ ODE_STEP = 1e-4
 COIN_N = 100
 COIN_TOSSES = 200
 HAAR_PAIRS_PER_MAP = 50
+WITNESS_TRIALS = 8  # witness draws per classified matrix
+BATCH = 64  # samples per kernel call, which bounds the arrays a check holds at once
 
 # suite -> [(check name, function, default trials, default tolerance)], in
 # declaration order; None marks a knob the check does not have.
@@ -307,15 +309,18 @@ def check_classify_roundtrip(settings, trials, tol):
     worst = 0.0
     total = 0
     for n in settings.dimensions:
-        for _ in range(trials):
-            v = sampling.haar_unitary(n, rng)
-            for maker, kind in ((transforms.realify_unitary, "unitary"),
-                                (transforms.realify_antiunitary, "antiunitary")):
-                g = transforms.classify(maker(v))
-                total += 1
-                if g.kind != kind:
-                    return False, 1.0, total, {"failed_kind": kind, "n": n}
-                worst = max(worst, float(np.max(np.abs(g.v - v))))
+        for batch in _batches(trials):
+            v = sampling.haar_unitary(n, rng, count=len(batch))
+            # per sample: the unitary, then the antiunitary realification
+            kind, found_v, _, _ = transforms.classify_batch(np.stack(
+                [transforms.realify_unitary(v), transforms.realify_antiunitary(v)], axis=1))
+            wrong = np.argwhere(kind != transforms.KINDS[1:])
+            if wrong.size:
+                t, anti = wrong[0]
+                return False, 1.0, total + 2 * int(t) + int(anti) + 1, _kind_failure(
+                    batch[t], n, transforms.KINDS[1 + anti], kind[t, anti])
+            total += kind.size
+            worst = max(worst, float(np.max(np.abs(found_v - v[:, None]))))
     return worst < tol, worst, total, {"dimensions": list(settings.dimensions)}
 
 
@@ -326,14 +331,17 @@ def check_classify_rejects_generic(settings, trials):
     total = 0
     min_dev = np.inf
     for n in settings.dimensions:
-        for _ in range(trials):
-            m = sampling.haar_orthogonal(2 * n, rng)
-            g = transforms.classify(m)
-            passed, dev = transforms.gauge_invariance_witness(m, trials=8, rng=rng)
-            total += 1
-            min_dev = min(min_dev, dev)
-            if g.is_gauge_invariant or passed or dev <= 1e-2:
-                return False, float(dev), total, {"n": n, "verdict": g.kind}
+        for batch in _batches(trials):
+            x, z, phi0 = _draw_with_witnesses(rng, len(batch), n, [(2 * n, 2 * n)], 1)
+            m = sampling.haar_from_ginibre(x)
+            kind = transforms.classify_batch(m)[0]
+            dev = transforms.witness_deviation(m, z[:, 0], phi0[:, 0])
+            bad = np.flatnonzero((kind != transforms.REJECTED) | (dev <= 1e-2))
+            if bad.size:
+                t = int(bad[0])
+                return False, float(dev[t]), total + t + 1, {"n": n, "verdict": str(kind[t])}
+            total += len(batch)
+            min_dev = min(min_dev, float(dev.min()))
     return True, float(min_dev), total, {"min_witness_deviation": float(min_dev)}
 
 
@@ -343,38 +351,75 @@ def check_classify_witness_agreement(settings, trials, tol):
     rng = settings.rng("classify.agreement")
     total, disagreements = 0, 0
     for n in settings.dimensions:
-        for _ in range(trials):
-            v = sampling.haar_unitary(n, rng)
-            candidates = [transforms.realify_unitary(v),
-                          transforms.realify_antiunitary(v),
-                          sampling.haar_orthogonal(2 * n, rng)]
-            for m in candidates:
-                g = transforms.classify(m)
-                passed, _ = transforms.gauge_invariance_witness(m, trials=8, tol=tol, rng=rng)
-                total += 1
-                if g.is_gauge_invariant != passed:
-                    disagreements += 1
+        for batch in _batches(trials):
+            # per sample: a unitary, a generic matrix, then the witness draws for
+            # the unitary's two realifications and for the generic matrix
+            x, y, z, phi0 = _draw_with_witnesses(
+                rng, len(batch), n, [(2, n, n), (2 * n, 2 * n)], 3)
+            v = sampling.haar_from_ginibre(sampling.complex_ginibre(x))
+            m = np.stack([transforms.realify_unitary(v), transforms.realify_antiunitary(v),
+                          sampling.haar_from_ginibre(y)], axis=1)
+            kind = transforms.classify_batch(m)[0]
+            dev = transforms.witness_deviation(m, z, phi0)
+            total += kind.size
+            disagreements += int(np.count_nonzero((kind != transforms.REJECTED) != (dev < tol)))
     return disagreements == 0, float(disagreements), total, {"disagreements": disagreements}
 
 
-@check("classify", "classify.composition", trials=200)
-def check_classify_composition(settings, trials):
+@check("classify", "classify.composition", trials=200, tol=1e-9)
+def check_classify_composition(settings, trials, tol):
     """classify respects the unitary/antiunitary composition table."""
     rng = settings.rng("classify.composition")
-    worst = 0.0
+    # per sample: n, the kinds k1, k2 (1 = antiunitary), then v1 and v2
+    draws = []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
-        makers = (transforms.realify_unitary, transforms.realify_antiunitary)
-        k1, k2 = rng.integers(0, 2), rng.integers(0, 2)
-        v1, v2 = sampling.haar_unitary(n, rng), sampling.haar_unitary(n, rng)
-        m = makers[k1](v1) @ makers[k2](v2)
-        g = transforms.classify(m)
-        expect_kind = "antiunitary" if k1 != k2 else "unitary"
-        if g.kind != expect_kind:
-            return False, 1.0, trials, {"expected": expect_kind, "got": g.kind}
-        expect_v = v1 @ (v2.conj() if k1 == 1 else v2)
-        worst = max(worst, float(np.max(np.abs(g.v - expect_v))))
-    return worst < 1e-9, worst, trials, {}
+        draws.append((n, rng.integers(0, 2), rng.integers(0, 2), rng.normal(size=(2, 2, n, n))))
+    dims, k1, k2 = (np.array([d[c] for d in draws], dtype=int) for c in range(3))
+    kind = np.empty(trials, dtype=transforms.KINDS.dtype)
+    worst = 0.0
+    for n in np.unique(dims):
+        at = np.flatnonzero(dims == n)
+        v1, v2 = sampling.haar_from_ginibre(sampling.complex_ginibre(
+            np.array([draws[t][3] for t in at]))).swapaxes(0, 1)
+        anti1, anti2 = k1[at, None, None] == 1, k2[at, None, None] == 1
+        m1, m2 = (np.where(anti, transforms.realify_antiunitary(v), transforms.realify_unitary(v))
+                  for anti, v in ((anti1, v1), (anti2, v2)))
+        kind[at], found_v, _, _ = transforms.classify_batch(m1 @ m2)
+        worst = max(worst, float(np.max(np.abs(found_v - v1 @ np.where(anti1, v2.conj(), v2)))))
+    expected = transforms.KINDS[1 + (k1 != k2)]
+    wrong = np.flatnonzero(kind != expected)
+    if wrong.size:
+        t = wrong[0]
+        return False, 1.0, trials, _kind_failure(t, dims[t], expected[t], kind[t])
+    return worst < tol, worst, trials, {}
+
+
+def _batches(trials):
+    """Successive ranges of at most ``BATCH`` sample indices, covering ``trials`` samples."""
+    return [range(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
+
+
+def _draw_with_witnesses(rng, count, n, shapes, witnesses):
+    """Per sample: one normal draw of each of ``shapes``, then ``witnesses`` witness draws.
+
+    Returns the (count, *shape) normals, then the witness states z (count,
+    witnesses, T, n) and phases phi0 (count, witnesses, T), T = ``WITNESS_TRIALS``.
+    """
+    normals = [np.empty((count, *shape)) for shape in shapes]
+    z = np.empty((count, witnesses, WITNESS_TRIALS, n), dtype=complex)
+    phi0 = np.empty((count, witnesses, WITNESS_TRIALS))
+    for t in range(count):
+        for x in normals:
+            x[t] = rng.normal(size=x.shape[1:])
+        for k in range(witnesses):
+            z[t, k], phi0[t, k] = transforms.witness_draws(n, WITNESS_TRIALS, rng)
+    return (*normals, z, phi0)
+
+
+def _kind_failure(sample, n, expected, found):
+    return {"first_failure": {"sample": int(sample), "n": int(n),
+                              "expected": str(expected), "found": str(found)}}
 
 
 # ------------------------------------------------------------------ born
@@ -410,10 +455,8 @@ def check_born_sampled(settings):
     v = sampling.sample_uniform(n, 1, rng)[0]
     arr = measurement.build_simulation(basis)
     p = measurement.born_probs(v, basis)
-    counts = np.zeros(n, dtype=int)
-    for _ in range(trials):
-        i, _ = measurement.simulate_measurement(arr, v, rng)
-        counts[i] += 1
+    i, _ = measurement.simulate_batch(arr, v, rng.random(trials))
+    counts = np.bincount(i, minlength=n)
     sigma = np.sqrt(trials * p * (1.0 - p))
     z = np.abs(counts - trials * p) / sigma
     worst = float(np.max(z))
@@ -429,12 +472,10 @@ def check_born_reproducible(settings, trials):
     arr = measurement.build_simulation(
         basis, theta=rng.uniform(0, 2 * np.pi, n), theta_out=rng.uniform(0, 2 * np.pi, n))
     v = sampling.sample_uniform(n, 1, rng)[0]
-    mismatches = 0
-    for _ in range(trials):
-        i, out = measurement.simulate_measurement(arr, v, rng)
-        j, _ = measurement.simulate_measurement(arr, out, rng)
-        if i != j:
-            mismatches += 1
+    u = rng.random((trials, 2))  # per trial: the first measurement's draw, then the repeat's
+    i, out = measurement.simulate_batch(arr, v, u[:, 0])
+    j, _ = measurement.simulate_batch(arr, out, u[:, 1])
+    mismatches = int(np.count_nonzero(i != j))
     return mismatches == 0, float(mismatches), trials, {"mismatches": mismatches}
 
 

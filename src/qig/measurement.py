@@ -121,10 +121,10 @@ def build_simulation(basis, theta=None, theta_out=None):
 
 
 def arrangement_probs(arr, v):
-    """Exact result distribution |<e_i, U v>|^2 of the simulated arrangement."""
-    v = as_pure_state(v)
-    p = np.abs(arr.U @ v) ** 2
-    return p / p.sum()
+    """Exact result distribution |<e_i, U v>|^2 for a state v, or a stack (..., N) of them."""
+    v = as_pure_state(v, stacked=True)
+    p = np.abs((arr.U @ v[..., None])[..., 0]) ** 2
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def simulate_measurement(arr, v, rng):
@@ -133,10 +133,26 @@ def simulate_measurement(arr, v, rng):
     The result is drawn by inverse CDF on the exact distribution; the
     output state is V e_i, i.e. v'_i up to a phase.
     """
+    i, out = simulate_batch(arr, v, rng.random())
+    return int(i), out
+
+
+def simulate_batch(arr, v, u):
+    """:func:`simulate_measurement` once per uniform in ``u``: result indices and output states.
+
+    ``v`` is one state for all runs, its distribution computed once, or one state per run.
+    """
     p = arrangement_probs(arr, v)
-    i = int(np.searchsorted(np.cumsum(p), rng.random()))
-    i = min(i, p.size - 1)
-    return i, arr.V[:, i].copy()
+    # inverse CDF: the number of CDF values below u; the last result takes
+    # the rest, so that rounding below 1 cannot give an index past it
+    cdf = np.cumsum(p, axis=-1)[..., :-1]
+    if cdf.ndim == 1:  # one state: one search for all the uniforms
+        i = cdf.searchsorted(u)
+    elif p.shape[:-1] == np.shape(u):
+        i = (cdf < np.asarray(u)[..., None]).sum(axis=-1)
+    else:
+        raise ValueError("need one state, or one state per uniform")
+    return i, arr.V.T.take(i, axis=0)  # a copy, shaped (..., N) for any shape of i
 
 
 def expected_value(v, obs):

@@ -33,13 +33,15 @@ def as_qvector(q, tol=NORM_TOL):
     return q
 
 
-def as_pure_state(v, tol=NORM_TOL):
-    """Validate an N-complex unit vector."""
+def as_pure_state(v, tol=NORM_TOL, stacked=False):
+    """Validate an N-complex unit vector, or with ``stacked`` a stack (..., N) of them."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0 or (v.ndim > 1 and not stacked):
         raise ValueError("state must be a nonempty 1-D complex vector")
-    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= tol:  # also fails on NaN
-        raise ValueError(f"state has squared norm {np.sum(np.abs(v) ** 2)!r}, not 1")
+    sq = np.add.reduce(np.abs(v) ** 2, axis=-1)
+    dev = abs(sq - 1.0)
+    if not (dev if dev.ndim == 0 else dev.max(initial=0.0)) <= tol:  # also fails on NaN
+        raise ValueError(f"state has squared norm {np.ravel(sq)[np.argmax(dev)]!r}, not 1")
     return v
 
 
@@ -47,7 +49,8 @@ def as_pure_state(v, tol=NORM_TOL):
 class PhaseRep:
     """State as result probabilities plus one phase per nonzero result.
 
-    ``phi`` is a read-only float array, NaN exactly where ``p`` is zero --
+    ``p`` is a read-only copy of the probabilities and ``phi`` a
+    read-only float array, NaN exactly where ``p`` is zero --
     the phase is undefined there, not merely unknown.  ``None`` entries
     on input are read as NaN.  Present phases must be finite and are
     stored reduced to [0, 2pi).  ``a`` and ``b`` record the affine map
@@ -61,7 +64,7 @@ class PhaseRep:
     b: float = 0.0
 
     def __post_init__(self):
-        p = as_prob_vec(self.p)
+        p = as_prob_vec(np.array(self.p, dtype=float))  # a copy: the caller keeps theirs
         phi = np.asarray(self.phi, dtype=float)
         if phi.shape != p.shape:
             raise ValueError("p and phi must have the same length")
@@ -72,7 +75,7 @@ class PhaseRep:
             raise ValueError("phases must be finite where p > 0 and NaN where p == 0")
         # reduce twice: x % 2pi rounds to 2pi for tiny negative x
         phi = phi % TWO_PI % TWO_PI
-        phi.flags.writeable = False
+        p.flags.writeable = phi.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "phi", phi)
 

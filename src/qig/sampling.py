@@ -33,19 +33,31 @@ def sample_uniform(n, count, rng):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed n x n unitary (QR of a complex Ginibre matrix)."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_unitary(n, rng, count=None):
+    """Haar-distributed n x n unitary, or a (count, n, n) stack drawn as ``count`` calls."""
+    return haar_from_ginibre(complex_ginibre(
+        rng.normal(size=(2, n, n) if count is None else (count, 2, n, n))))
+
+
+def complex_ginibre(x):
+    """Complex Ginibre matrices (x[..., 0, :, :] + i x[..., 1, :, :]) / sqrt(2) of normals x."""
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def haar_orthogonal(n, rng):
     """Haar-distributed n x n real orthogonal matrix (QR of a Ginibre matrix)."""
-    z = rng.normal(size=(n, n))
+    return haar_from_ginibre(rng.normal(size=(n, n)))
+
+
+def haar_from_ginibre(z):
+    """Haar matrices from a stack (..., n, n) of Ginibre matrices.
+
+    QR of each, with the phases (signs, if real) of diag(R) moved into Q
+    (Mezzadri, arXiv:math-ph/0609050).
+    """
     q, r = np.linalg.qr(z)
-    return q * np.sign(np.diagonal(r))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def metric_invariance_check(g, pairs, seed, displacement=1e-4):

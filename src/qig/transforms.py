@@ -15,24 +15,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qspace import from_complex, result_probs, to_complex
+from .qspace import TWO_PI
 
 ORTHO_TOL = 1e-10
 BLOCK_TOL = 1e-10
 WITNESS_TOL = 1e-9
 
+REJECTED = "not_gauge_invariant"
+# indexed by 0 (rejected), 1 (rotation blocks only), 2 (reflection blocks only)
+KINDS = np.array([REJECTED, "unitary", "antiunitary"])
 
-def as_orthogonal(m, tol=ORTHO_TOL):
-    """Validate a square real matrix with m.T m = I within ``tol`` (Frobenius)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.shape[0] % 2 != 0:
-        raise ValueError("matrix dimension must be even (2N)")
-    resid = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
-    if resid > tol:
-        raise ValueError(f"matrix is not orthogonal: residual {resid:g}")
+
+def as_orthogonal(m, tol=ORTHO_TOL, stacked=False):
+    """Validate real m, a stack (..., 2N, 2N) if ``stacked``, with m.T m = I within ``tol``."""
+    m = _as_block_matrix(m, stacked)
+    _check_residual(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1]), tol, "orthogonal")
     return m
+
+
+def _as_block_matrix(m, stacked=False):
+    """Real m as a float 2N x 2N matrix, or a stack (..., 2N, 2N) of them if ``stacked``."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrix must be square")
+    if m.shape[-1] % 2 != 0:
+        raise ValueError("matrix dimension must be even (2N)")
+    return m
+
+
+def _check_residual(d, tol, kind):
+    """Raise unless every matrix of the stack ``d`` has Frobenius norm <= ``tol``."""
+    sq = np.add.reduce(np.abs(d) ** 2, axis=(-2, -1))
+    if not (sq if sq.ndim == 0 else sq.max(initial=0.0)) <= tol * tol:  # also fails on NaN
+        resid = np.sqrt(np.ravel(sq)[np.argmax(sq)])
+        raise ValueError(f"matrix is not {kind}: residual {resid:g}")
 
 
 @dataclass(frozen=True)
@@ -62,32 +78,37 @@ def block_decomposition(m, tol=BLOCK_TOL):
     (sigma unconstrained there).  Raises ValueError naming the first
     block that is not a scaled (reflection-)rotation within ``tol``.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0] // 2
-    blocks = m.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    alpha = np.zeros((n, n))
-    phi = np.zeros((n, n))
-    sigma = np.zeros((n, n), dtype=int)
-    for k in range(n):
-        for i in range(n):
-            B = blocks[k, i]
-            a_col = B[0, 0] ** 2 + B[1, 0] ** 2
-            b_col = B[0, 1] ** 2 + B[1, 1] ** 2
-            g_col = B[0, 0] * B[0, 1] + B[1, 0] * B[1, 1]
-            scale = np.sqrt(0.5 * (a_col + b_col))
-            if scale <= tol:
-                continue
-            if abs(a_col - b_col) > tol:
-                raise ValueError(
-                    f"block ({k}, {i}): column norms differ "
-                    f"(alpha={a_col:g}, beta={b_col:g})"
-                )
-            if abs(g_col) > tol:
-                raise ValueError(f"block ({k}, {i}): columns not orthogonal (gamma={g_col:g})")
-            alpha[k, i] = scale
-            sigma[k, i] = 1 if np.linalg.det(B) > 0 else -1
-            phi[k, i] = np.arctan2(B[1, 0], B[0, 0]) % (2.0 * np.pi)
+    m = _as_block_matrix(m)
+    alpha, phi, sigma, fault = decompose_blocks(m, tol)
+    if fault.any():
+        raise ValueError(_fault_message(m, fault))
     return alpha, phi, sigma
+
+
+def decompose_blocks(m, tol=BLOCK_TOL):
+    """Batch kernel of :func:`block_decomposition` for a stack (..., 2N, 2N).
+
+    Returns alpha, phi, sigma and ``fault``, each (..., N, N); ``fault`` is 1 where a
+    block's column norms differ, else 2 where its columns are not orthogonal, else 0.
+    """
+    b00, b01, b10, b11 = (m[..., r::2, c::2] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    a, b, g = b00**2 + b10**2, b01**2 + b11**2, b00 * b01 + b10 * b11
+    scale = np.sqrt(0.5 * (a + b))
+    live = ~(scale <= tol)  # NaN blocks stay live
+    fault = np.where(np.abs(a - b) > tol, 1, np.where(np.abs(g) > tol, 2, 0)) * live
+    sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live
+    phi = np.where(live, np.arctan2(b10, b00) % TWO_PI, 0.0)
+    return np.where(live, scale, 0.0), phi, sigma, fault
+
+
+def _fault_message(m, fault):
+    """Name the first faulty block of one matrix, in row-major order."""
+    k, i = np.argwhere(fault)[0]
+    (b00, b01), (b10, b11) = m[2 * k:2 * k + 2, 2 * i:2 * i + 2]
+    if fault[k, i] == 1:
+        return (f"block ({k}, {i}): column norms differ "
+                f"(alpha={b00**2 + b10**2:g}, beta={b01**2 + b11**2:g})")
+    return f"block ({k}, {i}): columns not orthogonal (gamma={b00 * b01 + b10 * b11:g})"
 
 
 def classify(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
@@ -96,44 +117,51 @@ def classify(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
     Returns a unitary or antiunitary :class:`GaugeMap` when it does, or
     a rejection naming the first violated condition.
     """
-    m = as_orthogonal(m, tol=ortho_tol)
-    try:
-        alpha, phi, sigma = block_decomposition(m, tol=tol)
-    except ValueError as exc:
-        return GaugeMap(kind="not_gauge_invariant", diagnostic=str(exc))
-    live = sigma != 0
-    if not np.any(live):
-        return GaugeMap(kind="not_gauge_invariant", diagnostic="zero matrix")
-    sigmas = np.unique(sigma[live])
-    if sigmas.size > 1:
-        return GaugeMap(
-            kind="not_gauge_invariant",
-            diagnostic="mixed block kinds: rotation and reflection blocks coexist",
-        )
-    v = alpha * np.exp(1j * phi)
-    if sigmas[0] == 1:
-        return GaugeMap(kind="unitary", v=v)
-    return GaugeMap(kind="antiunitary", v=v)
+    if np.ndim(m) > 2:
+        raise ValueError("matrix must be square")
+    kind, v, sigma, fault = classify_batch(m, tol, ortho_tol)
+    if kind != REJECTED:
+        return GaugeMap(kind=str(kind), v=v)
+    if fault.any():
+        return GaugeMap(kind=REJECTED, diagnostic=_fault_message(np.asarray(m, float), fault))
+    if not sigma.any():
+        return GaugeMap(kind=REJECTED, diagnostic="zero matrix")
+    return GaugeMap(kind=REJECTED,
+                    diagnostic="mixed block kinds: rotation and reflection blocks coexist")
+
+
+def classify_batch(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
+    """:func:`classify` for a stack (..., 2N, 2N) of matrices, validated once.
+
+    Returns the kind names (...), the matrices ``v`` (..., N, N), zero where
+    rejected, and the blocks' sigma and fault codes from :func:`decompose_blocks`.
+    """
+    alpha, phi, sigma, fault = decompose_blocks(as_orthogonal(m, ortho_tol, stacked=True), tol)
+    rotation = (sigma > 0).any(axis=(-2, -1))
+    reflection = (sigma < 0).any(axis=(-2, -1))
+    ok = (rotation != reflection) & ~fault.any(axis=(-2, -1))
+    v = np.where(ok[..., None, None], alpha * np.exp(1j * phi), 0.0)
+    return KINDS[ok * (1 + reflection)], v, sigma, fault
 
 
 def realify_unitary(v, tol=ORTHO_TOL):
-    """Orthogonal 2N x 2N realization of a unitary: blocks alpha R(phi)."""
+    """Orthogonal 2N x 2N realization of a unitary (or a stack): blocks alpha R(phi)."""
     return _realify_blocks(_as_unitary(v, tol), 1.0)
 
 
 def realify_antiunitary(v, tol=ORTHO_TOL):
-    """Orthogonal realization of v -> V conj(v): blocks alpha R(phi) F."""
+    """Orthogonal realization of v -> V conj(v) (or a stack): blocks alpha R(phi) F."""
     return _realify_blocks(_as_unitary(v, tol), -1.0)
 
 
 def _realify_blocks(v, sign):
-    """Real 2N x 2N blocks [[re, -sign im], [im, sign re]] of V; sign -1 conjugates first."""
-    n = v.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[0::2, 0::2] = v.real
-    m[0::2, 1::2] = -sign * v.imag
-    m[1::2, 0::2] = v.imag
-    m[1::2, 1::2] = sign * v.real
+    """Real (..., 2N, 2N) blocks [[re, -sign im], [im, sign re]] of V; sign -1 conjugates first."""
+    n = v.shape[-1]
+    m = np.zeros(v.shape[:-2] + (2 * n, 2 * n))
+    m[..., 0::2, 0::2] = v.real
+    m[..., 0::2, 1::2] = -sign * v.imag
+    m[..., 1::2, 0::2] = v.imag
+    m[..., 1::2, 1::2] = sign * v.real
     return m
 
 
@@ -147,12 +175,11 @@ def realify(g):
 
 
 def _as_unitary(v, tol=ORTHO_TOL):
+    """Validate a unitary matrix, or a stack (..., N, N) of them."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError("matrix must be square")
-    resid = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[0]))
-    if resid > tol:
-        raise ValueError(f"matrix is not unitary: residual {resid:g}")
+    _check_residual(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1]), tol, "unitary")
     return v
 
 
@@ -188,22 +215,36 @@ def gauge_invariance_witness(m, trials=20, tol=WITNESS_TOL, rng=None):
     m = as_orthogonal(m)
     if rng is None:
         rng = np.random.default_rng()
-    n = m.shape[0] // 2
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v = z / np.linalg.norm(z)
-        phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        q1 = from_complex(v)
-        q2 = from_complex(np.exp(1j * phi0) * v)
-        p1 = result_probs(_renorm(m @ q1))
-        p2 = result_probs(_renorm(m @ q2))
-        worst = max(worst, float(np.max(np.abs(p1 - p2))))
+    worst = float(witness_deviation(m, *witness_draws(m.shape[0] // 2, trials, rng)))
     return worst < tol, worst
 
 
-def _renorm(q):
-    return q / np.linalg.norm(q)
+def witness_draws(n, trials, rng):
+    """States z (trials, n) and phases phi0 (trials,): per trial Re z, Im z, then phi0."""
+    x, phi0 = np.empty((trials, 2, n)), np.empty(trials)
+    for t in range(trials):
+        x[t], phi0[t] = rng.normal(size=(2, n)), rng.uniform(0.0, TWO_PI)
+    return x[:, 0] + 1j * x[:, 1], phi0
+
+
+def witness_deviation(m, z, phi0):
+    """Batch kernel of :func:`gauge_invariance_witness`, per matrix of ``m`` (..., 2N, 2N).
+
+    For states ``z`` (..., T, N) and phases ``phi0`` (..., T), the largest change
+    of a result probability of M Q(v) under v -> e^{i phi0} v over the T trials.
+    """
+    v = z / np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))[..., None]
+    w = np.stack([v, np.exp(1j * phi0)[..., None] * v])  # each state, then its shift
+    q = np.stack([w.real, w.imag], axis=-1).reshape(*w.shape[:-1], m.shape[-1])  # real forms
+    mq = (m[..., None, :, :] @ q[..., None])[..., 0]
+    P = (mq / np.sqrt(_dot(mq, mq))[..., None]) ** 2
+    p = (P / P.sum(axis=-1, keepdims=True)).reshape(*P.shape[:-1], z.shape[-1], 2).sum(axis=-1)
+    return np.abs(p[0] - p[1]).max(axis=(-2, -1), initial=0.0)
+
+
+def _dot(x, y):
+    """x . y over the last axis by one BLAS dot per row, which sums as ``np.linalg.norm`` does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def unitarity_orthogonality_bridge(v):

@@ -1,0 +1,373 @@
+"""Batch kernels against their scalar calls, planted defects, and validate-once.
+
+The stacked kernels (``classify_batch``, ``witness_deviation``,
+``simulate_batch``, stacked Haar draws) must give what the scalar calls
+give element by element; each rewritten ``classify.*``/``simulate.*``
+check must fail on a planted defect; and no check may validate its
+inputs once per trial.
+"""
+
+import collections
+import inspect
+import sys
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+import qig
+from qig import composite, harness, measurement, qspace, sampling, transforms
+
+FLIP = np.diag([1.0, -1.0])
+SHAPES = ("unitary", "antiunitary", "generic", "mixed", "zero_block", "unequal_norms",
+          "overlapping_columns")
+# orthogonal (Hadamard rows), but block (0, 0) has equal column norms and overlap 1/2
+OVERLAP = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def reference_classify(m, tol=transforms.BLOCK_TOL):
+    """The per-block loop that classify used before it was batched: (kind, v, diagnostic)."""
+    n = m.shape[0] // 2
+    blocks = m.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    alpha, phi, sigma = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), dtype=int)
+    for k in range(n):
+        for i in range(n):
+            B = blocks[k, i]
+            a_col = B[0, 0] ** 2 + B[1, 0] ** 2
+            b_col = B[0, 1] ** 2 + B[1, 1] ** 2
+            g_col = B[0, 0] * B[0, 1] + B[1, 0] * B[1, 1]
+            if np.sqrt(0.5 * (a_col + b_col)) <= tol:
+                continue
+            if abs(a_col - b_col) > tol:
+                return ("not_gauge_invariant", None, f"block ({k}, {i}): column norms differ "
+                        f"(alpha={a_col:g}, beta={b_col:g})")
+            if abs(g_col) > tol:
+                return ("not_gauge_invariant", None,
+                        f"block ({k}, {i}): columns not orthogonal (gamma={g_col:g})")
+            alpha[k, i] = np.sqrt(0.5 * (a_col + b_col))
+            sigma[k, i] = 1 if np.linalg.det(B) > 0 else -1
+            phi[k, i] = np.arctan2(B[1, 0], B[0, 0]) % (2.0 * np.pi)
+    kinds = np.unique(sigma[sigma != 0])
+    if kinds.size == 0:
+        return "not_gauge_invariant", None, "zero matrix"
+    if kinds.size > 1:
+        return ("not_gauge_invariant", None,
+                "mixed block kinds: rotation and reflection blocks coexist")
+    return ("unitary" if kinds[0] == 1 else "antiunitary"), alpha * np.exp(1j * phi), None
+
+
+def make_matrix(shape, n, rng):
+    """A 2n x 2n orthogonal matrix of the given shape (n >= 2)."""
+    u = sampling.haar_unitary(n, rng)
+    if shape == "unitary":
+        return transforms.realify_unitary(u)
+    if shape == "antiunitary":
+        return transforms.realify_antiunitary(u)
+    if shape == "generic":
+        return sampling.haar_orthogonal(2 * n, rng)
+    if shape == "mixed":  # rotation blocks, one of them followed by a reflection
+        m = transforms.realify_unitary(np.diag(np.exp(1j * rng.uniform(0, 6, n))))
+        k = int(rng.integers(n))
+        m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = m[2 * k:2 * k + 2, 2 * k:2 * k + 2] @ FLIP
+        return m
+    if shape == "zero_block":  # a permutation of phases: most blocks are zero
+        perm = np.eye(n)[rng.permutation(n)] * np.exp(1j * rng.uniform(0, 6, n))
+        maker = transforms.realify_antiunitary if rng.integers(2) else transforms.realify_unitary
+        return maker(perm)
+    if shape == "overlapping_columns":
+        m = transforms.realify_unitary(np.diag(np.exp(1j * rng.uniform(0, 6, n))))
+        m[:4, :4] = OVERLAP
+        return m
+    # moving the real coordinates of the results around splits their blocks
+    swap = np.eye(2 * n)[np.r_[0, 2, 1, 3:2 * n]]
+    return swap @ transforms.realify_unitary(u)
+
+
+@st.composite
+def stacks(draw):
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([make_matrix(shape, n, rng) for shape in shapes]), shapes
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(stacks())
+def test_classify_batch_matches_scalar_and_reference(stack):
+    ms, shapes = stack
+    kind, v, _, _ = transforms.classify_batch(ms)
+    assert kind.shape == ms.shape[:1] and v.shape == (len(ms), ms.shape[1] // 2, ms.shape[1] // 2)
+    for k, (m, shape) in enumerate(zip(ms, shapes)):
+        g = transforms.classify(m)
+        ref_kind, ref_v, ref_diagnostic = reference_classify(m)
+        assert (g.kind, g.diagnostic) == (ref_kind, ref_diagnostic)
+        assert kind[k] == g.kind
+        if ref_v is None:
+            assert g.v is None and not v[k].any()
+        else:
+            # the loop squared NumPy scalars through libm pow, which can differ
+            # from the exactly rounded x * x in the last bit
+            assert_allclose(g.v, ref_v, rtol=4e-16, atol=0)
+            assert_array_equal(v[k], g.v)
+        if shape in ("unitary", "antiunitary"):
+            assert g.kind == shape
+        elif shape in ("mixed", "generic"):
+            assert g.kind == "not_gauge_invariant"
+
+
+def test_each_diagnostic_is_reachable():
+    rng = np.random.default_rng(0)
+    diagnostics = {shape: transforms.classify(make_matrix(shape, 3, rng)).diagnostic
+                   for shape in ("mixed", "unequal_norms", "overlapping_columns")}
+    assert diagnostics["mixed"].startswith("mixed block kinds")
+    assert "column norms differ" in diagnostics["unequal_norms"]
+    assert diagnostics["overlapping_columns"] == (
+        "block (0, 0): columns not orthogonal (gamma=0.5)")
+    with pytest.raises(ValueError, match=r"block \(0, 0\): .* \(alpha=1, beta=0\)"):
+        transforms.block_decomposition(np.eye(4)[[0, 2, 1, 3]])
+    assert transforms.classify(np.zeros((2, 2)), ortho_tol=2.0).diagnostic == "zero matrix"
+
+
+@pytest.mark.parametrize("m", [np.eye(3), np.ones((4, 2)), np.eye(4)[None], np.ones(4)])
+def test_block_decomposition_rejects_bad_shapes(m):
+    with pytest.raises(ValueError, match="square|even"):
+        transforms.block_decomposition(m)
+
+
+def test_validators_reject_nan_and_check_stacks():
+    with pytest.raises(ValueError, match="not orthogonal"):
+        transforms.classify(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        transforms.classify(np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match="residual 4.24264"):
+        transforms.classify_batch(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+    with pytest.raises(ValueError, match="1-D"):
+        qspace.as_pure_state(np.eye(2))
+    with pytest.raises(ValueError, match=r"squared norm (np\.float64\()?0\.5\b"):
+        qspace.as_pure_state([[1.0, 0.0], [0.5, 0.5]], stacked=True)
+    assert qspace.as_pure_state(np.zeros((0, 3)), stacked=True).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_haar_draws_equal_single_draws(n):
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    assert_array_equal(sampling.haar_unitary(n, a, count=7),
+                       np.array([sampling.haar_unitary(n, b) for _ in range(7)]))
+    assert a.random() == b.random()  # both generators are left in the same state
+
+
+def test_witness_stack_equals_single_calls():
+    rng = np.random.default_rng(1)
+    ms = np.array([make_matrix(shape, 3, rng) for shape in SHAPES])
+    draws = [transforms.witness_draws(3, 8, np.random.default_rng(k)) for k in range(len(ms))]
+    dev = transforms.witness_deviation(ms, np.array([z for z, _ in draws]),
+                                       np.array([phi0 for _, phi0 in draws]))
+    for k, m in enumerate(ms):
+        passed, single = transforms.gauge_invariance_witness(
+            m, trials=8, rng=np.random.default_rng(k))
+        assert single == dev[k] and passed == (dev[k] < transforms.WITNESS_TOL)
+
+
+class ScriptedRng:
+    """Stands in for a generator in simulate_measurement: hands out given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_simulate_batch_matches_scalar_calls(n, seed):
+    rng = np.random.default_rng(seed)
+    basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
+    arr = measurement.build_simulation(basis, theta=rng.uniform(0, 6, n),
+                                       theta_out=rng.uniform(0, 6, n))
+    v = sampling.sample_uniform(n, 1, rng)[0]
+    # uniforms exactly on the CDF values hit the side of each search
+    u = np.concatenate([rng.random(20), np.cumsum(measurement.arrangement_probs(arr, v)),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    states = np.concatenate([sampling.sample_uniform(n, u.size - n, rng), basis.vectors])
+    for state in (v, states):
+        i, out = measurement.simulate_batch(arr, state, u)
+        scripted = ScriptedRng(u)
+        for t in range(u.size):
+            j, single = measurement.simulate_measurement(
+                arr, state if state.ndim == 1 else state[t], scripted)
+            assert j == i[t]
+            assert_array_equal(single, out[t])
+    # a batch with two axes: out[x, y] belongs to the uniform u[x, y]
+    grid = u[:12].reshape(3, 4)
+    for state in (v, states[:12].reshape(3, 4, n)):
+        i, out = measurement.simulate_batch(arr, state, grid)
+        flat = state.reshape(-1, n) if state.ndim > 1 else state
+        flat_i, flat_out = measurement.simulate_batch(arr, flat, grid.ravel())
+        assert_array_equal(i, flat_i.reshape(3, 4))
+        assert_array_equal(out, flat_out.reshape(3, 4, n))
+    with pytest.raises(ValueError, match="one state per uniform"):
+        measurement.simulate_batch(arr, states[:3], u)
+    with pytest.raises(ValueError, match="one state per uniform"):
+        measurement.simulate_measurement(arr, states, rng)
+
+
+def test_simulate_measurement_returns_a_copy():
+    basis = measurement.MeasurementBasis(np.eye(2, dtype=complex))
+    arr = measurement.build_simulation(basis)
+    _, out = measurement.simulate_measurement(arr, np.array([1.0, 0.0]), np.random.default_rng(0))
+    out[:] = 7.0
+    assert_array_equal(arr.V, np.eye(2))
+
+
+# ------------------------------------------------------------ planted defects
+
+
+def mutant(monkeypatch, module, old, new):
+    """A fresh copy of ``module`` with the source text ``old`` replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    copy = types.ModuleType(module.__name__ + "_mutant")
+    copy.__package__, copy.__file__ = "qig", module.__file__
+    monkeypatch.setitem(sys.modules, copy.__name__, copy)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), copy.__dict__)
+    return copy
+
+
+CHECKS = {entry[0]: (suite, entry) for suite, entries in harness.SUITES.items()
+          for entry in entries}
+SMALL = harness.Settings(trials={"classify": 60, "simulate": 2000})
+
+DET_FLIP = ("sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live",
+            "sigma = np.where(b00 * b11 - b01 * b10 > 0, -1, 1) * live")
+MUTANTS = {
+    "det sign flip": (transforms, *DET_FLIP, ["classify.roundtrip"]),
+    "witness ignores phi0": (
+        transforms, "w = np.stack([v, np.exp(1j * phi0)[..., None] * v])",
+        "w = np.stack([v, v])", ["classify.rejects_generic", "classify.witness_agreement"]),
+    "swapped composition conjugation": (
+        harness, "v1 @ np.where(anti1, v2.conj(), v2)", "v1 @ np.where(anti2, v2.conj(), v2)",
+        ["classify.composition"]),
+    "|amp| as the Born probability": (
+        measurement, "p = np.abs((arr.U @ v[..., None])[..., 0]) ** 2",
+        "p = np.abs((arr.U @ v[..., None])[..., 0])", ["simulate.frequencies"]),
+    "output state V e_(i+1)": (
+        measurement, "return i, arr.V.T.take(i, axis=0)",
+        "return i, arr.V.T.take((i + 1) % p.shape[-1], axis=0)", ["simulate.reproducibility"]),
+}
+
+
+def run_with(monkeypatch, module, old, new, names):
+    """Run the named checks at ``SMALL`` settings against a mutated copy of ``module``."""
+    copy = mutant(monkeypatch, module, old, new)
+    runner = harness
+    if module is harness:
+        runner = copy
+        checks = {e[0]: (s, e) for s, entries in copy.SUITES.items() for e in entries}
+    else:
+        monkeypatch.setattr(harness, module.__name__.rsplit(".", 1)[1], copy)
+        checks = CHECKS
+    return {name: runner.run_check(*checks[name], SMALL) for name in names}
+
+
+@pytest.mark.parametrize("defect", MUTANTS)
+def test_planted_defect_fails_its_check(defect, monkeypatch):
+    module, old, new, names = MUTANTS[defect]
+    for name in names:
+        assert harness.run_check(*CHECKS[name], SMALL)["status"] == "pass", name
+    for name, report in run_with(monkeypatch, module, old, new, names).items():
+        assert report["status"] == "fail", (name, report)
+
+
+def test_wrong_kind_reports_first_failure(monkeypatch):
+    reports = run_with(monkeypatch, transforms, *DET_FLIP,
+                       ["classify.roundtrip", "classify.composition"])
+    roundtrip = reports["classify.roundtrip"]
+    assert roundtrip["max_residual"] == 1.0 and roundtrip["trials"] == 1
+    assert roundtrip["details"]["first_failure"] == {
+        "sample": 0, "n": 2, "expected": "unitary", "found": "antiunitary"}
+    failure = reports["classify.composition"]["details"]["first_failure"]
+    assert failure["sample"] == 0 and failure["n"] in (2, 3, 4, 5)
+    assert {failure["expected"], failure["found"]} == {"unitary", "antiunitary"}
+    assert reports["classify.composition"]["tolerance"] == 1e-9
+
+
+def test_composition_tolerance_is_declared():
+    report = harness.run_check(*CHECKS["classify.composition"], harness.Settings())
+    assert report["status"] == "pass" and report["tolerance"] == 1e-9
+    strict = harness.Settings(tolerances={"classify": 0.0})
+    assert harness.run_check(*CHECKS["classify.composition"], strict)["status"] == "fail"
+
+
+# --------------------------------------------------------------- validate once
+
+
+VALIDATORS = (qspace.as_pure_state, qspace.as_qvector, transforms.as_orthogonal)
+MODULES = [getattr(qig, name) for name in qig.__all__] + [harness]
+
+
+def validation_counts(monkeypatch, names, config):
+    """Calls to the validators, at every name they are bound to, per check run."""
+    counts = collections.Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for module in MODULES:
+            for attr, obj in list(vars(module).items()):
+                if any(obj is fn for fn in VALIDATORS):
+                    patch.setattr(module, attr, counted(obj, attr))
+        per_check = {}
+        for name in names:
+            counts.clear()
+            assert harness.run_check(*CHECKS[name], config)["status"] == "pass", name
+            per_check[name] = dict(counts)
+    return per_check
+
+
+def test_checks_validate_once_per_batch(monkeypatch):
+    names = [name for name in CHECKS if name.split(".")[0] in ("classify", "simulate")]
+    assert len(names) == 6
+    runs = [validation_counts(monkeypatch, names, harness.Settings(
+        trials={"classify": trials, "simulate": trials})) for trials in (20, 40)]
+    assert runs[0] == runs[1]
+    for name, counts in runs[0].items():
+        assert sum(counts.values()) <= 2 * len(harness.DEFAULT_DIMENSIONS), (name, counts)
+
+
+# -------------------------------------------------------- phase representation
+
+
+def test_compose_phase_reps_underflow_gets_nan_phase():
+    rep = qspace.PhaseRep(p=[1.0, 1e-200], phi=(0.1, 0.2))
+    out = composite.compose_phase_reps(rep, rep)
+    assert_array_equal(out.p == 0, [False, False, False, True])
+    assert np.isnan(out.phi[3]) and not np.isnan(out.phi[:3]).any()
+
+
+def test_phase_rep_copies_p():
+    p = np.array([0.5, 0.5])
+    rep = qspace.PhaseRep(p=p, phi=(0.1, 0.2))
+    p[0] = 0.0
+    assert_array_equal(rep.p, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        rep.p[0] = 0.0
+
+
+def test_empty_stacks():
+    kind, v, _, _ = transforms.classify_batch(np.zeros((0, 4, 4)))
+    assert kind.shape == (0,) and v.shape == (0, 2, 2)
+    z, phi0 = transforms.witness_draws(2, 0, np.random.default_rng(0))
+    assert transforms.witness_deviation(np.eye(4), z, phi0) == 0.0
+    empty = transforms.witness_deviation(np.zeros((0, 4, 4)), np.zeros((0, 8, 2)), np.zeros((0, 8)))
+    assert empty.shape == (0,)
+    arr = measurement.build_simulation(measurement.MeasurementBasis.standard(2))
+    i, out = measurement.simulate_batch(arr, np.zeros((0, 2)), np.zeros(0))
+    assert i.shape == (0,) and out.shape == (0, 2)
