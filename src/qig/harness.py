@@ -5,8 +5,9 @@ with its default trial count and tolerance where it has them; the CLI,
 the config file and the tests all read that registry, :data:`SUITES`.
 Seeds for individual checks are derived from the master seed and an
 RNG label, so checks can run in any order (or concurrently) without
-changing results.  Statistical checks keep fixed sample sizes, because
-their false-alarm rate depends on them.
+changing results.  A batch draws each kind of random value as one array
+call, so a check's stream depends on :data:`BATCH`.  Statistical checks
+keep fixed sample sizes, because their false-alarm rate depends on them.
 """
 
 import time
@@ -332,8 +333,8 @@ def check_classify_rejects_generic(settings, trials):
     min_dev = np.inf
     for n in settings.dimensions:
         for batch in _batches(trials):
-            x, z, phi0 = _draw_with_witnesses(rng, len(batch), n, [(2 * n, 2 * n)], 1)
-            m = sampling.haar_from_ginibre(x)
+            m = sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))
+            z, phi0 = transforms.witness_draws(n, (len(batch), 1, WITNESS_TRIALS), rng)
             kind = transforms.classify_batch(m)[0]
             dev = transforms.witness_deviation(m, z[:, 0], phi0[:, 0])
             bad = np.flatnonzero((kind != transforms.REJECTED) | (dev <= 1e-2))
@@ -352,13 +353,12 @@ def check_classify_witness_agreement(settings, trials, tol):
     total, disagreements = 0, 0
     for n in settings.dimensions:
         for batch in _batches(trials):
-            # per sample: a unitary, a generic matrix, then the witness draws for
-            # the unitary's two realifications and for the generic matrix
-            x, y, z, phi0 = _draw_with_witnesses(
-                rng, len(batch), n, [(2, n, n), (2 * n, 2 * n)], 3)
-            v = sampling.haar_from_ginibre(sampling.complex_ginibre(x))
+            # per sample: a unitary's two realifications and a generic matrix
+            v = sampling.haar_unitary(n, rng, count=len(batch))
             m = np.stack([transforms.realify_unitary(v), transforms.realify_antiunitary(v),
-                          sampling.haar_from_ginibre(y)], axis=1)
+                          sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))],
+                         axis=1)
+            z, phi0 = transforms.witness_draws(n, (len(batch), 3, WITNESS_TRIALS), rng)
             kind = transforms.classify_batch(m)[0]
             dev = transforms.witness_deviation(m, z, phi0)
             total += kind.size
@@ -370,18 +370,14 @@ def check_classify_witness_agreement(settings, trials, tol):
 def check_classify_composition(settings, trials, tol):
     """classify respects the unitary/antiunitary composition table."""
     rng = settings.rng("classify.composition")
-    # per sample: n, the kinds k1, k2 (1 = antiunitary), then v1 and v2
-    draws = []
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        draws.append((n, rng.integers(0, 2), rng.integers(0, 2), rng.normal(size=(2, 2, n, n))))
-    dims, k1, k2 = (np.array([d[c] for d in draws], dtype=int) for c in range(3))
+    dims = rng.integers(2, 6, trials)
+    k1, k2 = rng.integers(0, 2, (2, trials))  # 1 = antiunitary
     kind = np.empty(trials, dtype=transforms.KINDS.dtype)
     worst = 0.0
     for n in np.unique(dims):
         at = np.flatnonzero(dims == n)
-        v1, v2 = sampling.haar_from_ginibre(sampling.complex_ginibre(
-            np.array([draws[t][3] for t in at]))).swapaxes(0, 1)
+        v1, v2 = sampling.haar_unitary(n, rng, count=2 * at.size).reshape(
+            at.size, 2, n, n).swapaxes(0, 1)
         anti1, anti2 = k1[at, None, None] == 1, k2[at, None, None] == 1
         m1, m2 = (np.where(anti, transforms.realify_antiunitary(v), transforms.realify_unitary(v))
                   for anti, v in ((anti1, v1), (anti2, v2)))
@@ -398,23 +394,6 @@ def check_classify_composition(settings, trials, tol):
 def _batches(trials):
     """Successive ranges of at most ``BATCH`` sample indices, covering ``trials`` samples."""
     return [range(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
-
-
-def _draw_with_witnesses(rng, count, n, shapes, witnesses):
-    """Per sample: one normal draw of each of ``shapes``, then ``witnesses`` witness draws.
-
-    Returns the (count, *shape) normals, then the witness states z (count,
-    witnesses, T, n) and phases phi0 (count, witnesses, T), T = ``WITNESS_TRIALS``.
-    """
-    normals = [np.empty((count, *shape)) for shape in shapes]
-    z = np.empty((count, witnesses, WITNESS_TRIALS, n), dtype=complex)
-    phi0 = np.empty((count, witnesses, WITNESS_TRIALS))
-    for t in range(count):
-        for x in normals:
-            x[t] = rng.normal(size=x.shape[1:])
-        for k in range(witnesses):
-            z[t, k], phi0[t, k] = transforms.witness_draws(n, WITNESS_TRIALS, rng)
-    return (*normals, z, phi0)
 
 
 def _kind_failure(sample, n, expected, found):

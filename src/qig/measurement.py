@@ -43,7 +43,7 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class Observable:
-    """A measurement basis with one real value per result.
+    """A measurement basis with one finite real value per result.
 
     Equivalent to the Hermitian matrix sum_i a_i v'_i v'_i^dag, whose
     eigenvalues are the values and eigenvectors the basis states.
@@ -56,6 +56,8 @@ class Observable:
         a = np.asarray(self.values, dtype=float)
         if a.shape != (self.basis.dim,):
             raise ValueError("need one real value per basis state")
+        if not np.isfinite(a).all():
+            raise ValueError("observable values must be finite")
         object.__setattr__(self, "values", a)
 
     def matrix(self):
@@ -172,15 +174,11 @@ def expected_value(v, obs):
 def degenerate_probs(v, basis, values):
     """Born probabilities grouped by shared result value.
 
-    ``values`` lists one real value per result, duplicates allowed;
+    ``values`` lists one finite real value per result, duplicates allowed;
     results sharing a value are physically indistinguishable and their
-    probabilities are summed.  Returns {value: probability}.
+    probabilities are summed.  Values are grouped by exact float equality,
+    as :attr:`Observable.is_degenerate` counts them, so 0.1 + 0.2 and 0.3
+    are two groups.  Returns {value: probability}, in ascending value order.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (basis.dim,):
-        raise ValueError("need one value per result")
-    p = born_probs(v, basis)
-    out = {}
-    for b, pi in zip(values, p):
-        out[float(b)] = out.get(float(b), 0.0) + float(pi)
-    return out
+    keys, group = np.unique(Observable(basis=basis, values=values).values, return_inverse=True)
+    return dict(zip(keys.tolist(), np.bincount(group, weights=born_probs(v, basis)).tolist()))

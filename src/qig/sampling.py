@@ -3,11 +3,11 @@
 The Euclidean metric on the 2N-real state space induces the uniform
 measure on the unit hypersphere.  In complex form the metric is
 ds^2 = |dv|^2, invariant under unitary and antiunitary maps, and the
-uniform measure inherits that invariance.  Sampling is by normalizing
-2N independent standard normals drawn from a caller's generator:
-``sample_uniform(n, count, rng)``.  ``measure_invariance_check`` tests a
-gauge map; ``pushforward_uniformity`` tests any callable, which is how
-negative controls are run.
+uniform measure inherits that invariance.  Sampling normalizes 2N
+standard normals from a caller's generator, ``sample_uniform(n, count,
+rng)``; a batch draws each kind of value as one array call, not sample by
+sample.  ``measure_invariance_check`` tests a gauge map;
+``pushforward_uniformity`` tests any callable, as negative controls do.
 """
 
 import numpy as np
@@ -35,13 +35,8 @@ def sample_uniform(n, count, rng):
 
 def haar_unitary(n, rng, count=None):
     """Haar-distributed n x n unitary, or a (count, n, n) stack drawn as ``count`` calls."""
-    return haar_from_ginibre(complex_ginibre(
-        rng.normal(size=(2, n, n) if count is None else (count, 2, n, n))))
-
-
-def complex_ginibre(x):
-    """Complex Ginibre matrices (x[..., 0, :, :] + i x[..., 1, :, :]) / sqrt(2) of normals x."""
-    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
+    x = rng.normal(size=(2, n, n) if count is None else (count, 2, n, n))
+    return haar_from_ginibre((x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0))
 
 
 def haar_orthogonal(n, rng):
@@ -73,16 +68,14 @@ def metric_invariance_check(g, pairs, seed, displacement=1e-4):
         raise ValueError("map must be unitary or antiunitary")
     n = g.v.shape[0]
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    vs = sample_uniform(n, pairs, rng)
-    for v in vs:
-        dv = rng.normal(size=n) + 1j * rng.normal(size=n)
-        w = v + displacement * dv / np.linalg.norm(dv)
-        w = w / np.linalg.norm(w)
-        before = np.sum(np.abs(w - v) ** 2)
-        after = np.sum(np.abs(apply(g, w) - apply(g, v)) ** 2)
-        worst = max(worst, abs(after - before) / before)
-    return float(worst)
+    v = sample_uniform(n, pairs, rng)
+    x = rng.normal(size=(pairs, 2, n))  # per pair: Re dv, then Im dv
+    dv = x[:, 0] + 1j * x[:, 1]
+    w = v + displacement * dv / np.linalg.norm(dv, axis=1, keepdims=True)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    before = np.sum(np.abs(w - v) ** 2, axis=1)
+    after = np.sum(np.abs(apply(g, w) - apply(g, v)) ** 2, axis=1)
+    return float(np.max(np.abs(after - before) / before, initial=0.0))
 
 
 def _uniformity_pvalues(states, bins):
@@ -123,11 +116,7 @@ def measure_invariance_check(g, samples, bins, seed):
     """
     if not g.is_gauge_invariant:
         raise ValueError("map must be unitary or antiunitary")
-    if g.kind == "unitary":
-        transform = lambda states: states @ g.v.T
-    else:
-        transform = lambda states: states.conj() @ g.v.T
-    return pushforward_uniformity(transform, g.v.shape[0], samples, bins, seed)
+    return pushforward_uniformity(lambda s: apply(g, s), g.v.shape[0], samples, bins, seed)
 
 
 def pushforward_uniformity(transform, n, samples, bins, seed):

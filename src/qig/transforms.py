@@ -184,13 +184,11 @@ def _as_unitary(v, tol=ORTHO_TOL):
 
 
 def apply(g, v):
-    """Act with a gauge map on a complex state: Vv, or V conj(v) if antiunitary."""
+    """Act with a gauge map on a state or on rows (..., N): Vv, or V conj(v) if antiunitary."""
     if not g.is_gauge_invariant:
         raise ValueError("cannot apply a non-gauge-invariant verdict to a state")
     v = np.asarray(v, dtype=complex)
-    if g.kind == "antiunitary":
-        v = v.conj()
-    return g.v @ v
+    return (v.conj() if g.kind == "antiunitary" else v) @ g.v.T
 
 
 def compose(g1, g2):
@@ -220,11 +218,13 @@ def gauge_invariance_witness(m, trials=20, tol=WITNESS_TOL, rng=None):
 
 
 def witness_draws(n, trials, rng):
-    """States z (trials, n) and phases phi0 (trials,): per trial Re z, Im z, then phi0."""
-    x, phi0 = np.empty((trials, 2, n)), np.empty(trials)
-    for t in range(trials):
-        x[t], phi0[t] = rng.normal(size=(2, n)), rng.uniform(0.0, TWO_PI)
-    return x[:, 0] + 1j * x[:, 1], phi0
+    """States z (*shape, n) and phases phi0 (shape) for a count or batch shape ``trials``.
+
+    Draws all real parts, then all imaginary parts, then all phases.
+    """
+    shape = tuple(np.atleast_1d(trials))
+    x = rng.normal(size=(2, *shape, n))
+    return x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
 
 
 def witness_deviation(m, z, phi0):

@@ -1,10 +1,11 @@
 """Batch kernels against their scalar calls, planted defects, and validate-once.
 
 The stacked kernels (``classify_batch``, ``witness_deviation``,
-``simulate_batch``, stacked Haar draws) must give what the scalar calls
-give element by element; each rewritten ``classify.*``/``simulate.*``
-check must fail on a planted defect; and no check may validate its
-inputs once per trial.
+``simulate_batch``, stacked Haar draws, ``apply`` on rows,
+``metric_invariance_check``) must give what the scalar calls or the
+loops they replaced give element by element; each rewritten
+``classify.*``/``simulate.*`` check must fail on a planted defect; and no
+check may validate its inputs once per trial.
 """
 
 import collections
@@ -169,6 +170,58 @@ def test_witness_stack_equals_single_calls():
         passed, single = transforms.gauge_invariance_witness(
             m, trials=8, rng=np.random.default_rng(k))
         assert single == dev[k] and passed == (dev[k] < transforms.WITNESS_TOL)
+
+
+def test_witness_draws_take_a_count_or_a_batch_shape():
+    rng = np.random.default_rng(4)
+    z, phi0 = transforms.witness_draws(3, (4, 5), rng)
+    assert z.shape == (4, 5, 3) and phi0.shape == (4, 5)
+    assert ((phi0 >= 0) & (phi0 < 2 * np.pi)).all()
+    # one array of real parts, then one of imaginary parts, then one of phases
+    ref = np.random.default_rng(4)
+    x = ref.normal(size=(2, 4, 5, 3))
+    assert_array_equal(z, x[0] + 1j * x[1])
+    assert_array_equal(phi0, ref.uniform(0.0, 2 * np.pi, (4, 5)))
+    z, phi0 = transforms.witness_draws(3, 7, rng)
+    assert z.shape == (7, 3) and phi0.shape == (7,)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+def test_apply_to_rows_equals_single_calls(kind):
+    rng = np.random.default_rng(5)
+    g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(3, rng))
+    states = sampling.sample_uniform(3, 6, rng)
+    rows = transforms.apply(g, states)
+    assert rows.shape == (6, 3)
+    assert_allclose(rows, [transforms.apply(g, v) for v in states], rtol=0, atol=1e-15)
+    act = states.conj() if kind == "antiunitary" else states
+    assert_allclose(rows, [g.v @ v for v in act], rtol=0, atol=1e-15)
+
+
+def reference_metric_invariance(g, pairs, seed, displacement=1e-4):
+    """The per-pair loop that metric_invariance_check replaced."""
+    n = g.v.shape[0]
+    rng = np.random.default_rng(seed)
+    act = lambda v: g.v @ (v.conj() if g.kind == "antiunitary" else v)
+    worst = 0.0
+    for v in sampling.sample_uniform(n, pairs, rng):
+        dv = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = v + displacement * dv / np.linalg.norm(dv)
+        w = w / np.linalg.norm(w)
+        before = np.sum(np.abs(w - v) ** 2)
+        after = np.sum(np.abs(act(w) - act(v)) ** 2)
+        worst = max(worst, abs(after - before) / before)
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+def test_metric_invariance_matches_per_pair_loop(kind):
+    # a map that stretches |dv|^2, so the result is O(1) and not rounding noise
+    g = transforms.GaugeMap(kind=kind, v=np.diag([1.0, 1.5, 0.5]).astype(complex))
+    for seed in range(3):
+        batched = sampling.metric_invariance_check(g, pairs=40, seed=seed)
+        assert batched > 0.1
+        assert batched == pytest.approx(reference_metric_invariance(g, 40, seed), rel=1e-12)
 
 
 class ScriptedRng:

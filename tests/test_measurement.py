@@ -204,3 +204,23 @@ def test_degenerate_probs_all_equal():
     grouped = measurement.degenerate_probs(
         np.array([0.6, 0.8], dtype=complex), basis, [5.0, 5.0])
     assert grouped == {5.0: pytest.approx(1.0, abs=1e-12)}
+
+
+def test_degenerate_probs_groups_by_exact_float_equality():
+    basis = measurement.MeasurementBasis.standard(3)
+    v = np.sqrt([0.2, 0.3, 0.5]).astype(complex)
+    values = [0.1 + 0.2, 0.3, 1.0]  # 0.1 + 0.2 != 0.3 in floating point
+    grouped = measurement.degenerate_probs(v, basis, values)
+    assert len(grouped) == 3
+    assert grouped[0.1 + 0.2] == pytest.approx(0.2) and grouped[0.3] == pytest.approx(0.3)
+    assert not measurement.Observable(basis=basis, values=values).is_degenerate
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_raise(bad):
+    basis = measurement.MeasurementBasis.standard(3)
+    v = np.sqrt([0.2, 0.3, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
+        measurement.degenerate_probs(v, basis, [bad, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        measurement.Observable(basis=basis, values=[bad, bad, 1.0])
