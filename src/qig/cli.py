@@ -8,16 +8,15 @@ Usage:
 One JSON object is printed per check, then a summary object.  Exit
 status is 0 iff every check passed.  Reports are byte-reproducible for
 a given seed and configuration except for the elapsed-time fields.
-A check with a tolerance reports it in a top-level ``tolerance`` field.
+Every check line carries the bound applied (``tolerance``) and ``margin``.
 
 Overrides are keyed by suite name: ``--tol SUITE=VALUE`` and the config
 file's ``tolerances`` and ``trials`` dicts set that knob for every check
 of the suite that declares it, and ``--trials N`` sets every declared
-trial count.  A key that is not a suite declaring the knob is an error
-(exit status 2; the message lists the valid keys).  The statistical
-checks coin.monte_carlo, simulate.frequencies, haar.uniformity,
-haar.negative_control and haar.rotation_invariance keep fixed sample
-sizes, because their false-alarm rate depends on them.
+trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
+A key that is not a suite declaring the knob is an error (exit status 2;
+the message lists the valid keys).  The statistical checks keep fixed
+sample sizes and bounds, because their false-alarm rate depends on them.
 """
 
 import argparse

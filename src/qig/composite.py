@@ -12,20 +12,6 @@ from .measurement import MeasurementBasis, Observable
 from .qspace import TWO_PI, PhaseRep, as_pure_state
 
 
-def composite_index(n1, n2, i, j):
-    """Flattened 0-based index of subsystem results (i, j)."""
-    if not (0 <= i < n1 and 0 <= j < n2):
-        raise IndexError("subsystem index out of range")
-    return n2 * i + j
-
-
-def split_index(n1, n2, l):
-    """Inverse of :func:`composite_index`."""
-    if not 0 <= l < n1 * n2:
-        raise IndexError("composite index out of range")
-    return divmod(l, n2)
-
-
 def compose_phase_reps(s1, s2):
     """Composite phase representation: p''_l = p_i p'_j, phi''_l = phi_i + phi'_j.
 
@@ -43,21 +29,10 @@ def compose_phase_reps(s1, s2):
 
 
 def tensor(v1, v2):
-    """Kronecker product of two complex states, ordered per composite_index."""
+    """Kronecker product of two complex states: entry N2 i + j is v1[i] v2[j] (0-based)."""
     v1 = as_pure_state(v1)
     v2 = as_pure_state(v2)
     return np.kron(v1, v2)
-
-
-def fold(states):
-    """Left-associated iterated tensor product of one or more states."""
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    out = as_pure_state(states[0])
-    for v in states[1:]:
-        out = tensor(out, v)
-    return out
 
 
 def subsystem_observable(obs, n_other, position="first"):

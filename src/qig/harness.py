@@ -1,13 +1,15 @@
 """Deterministic verification checks behind the ``verify`` command.
 
-Each check is declared once, with :func:`check`, under its suite and
-with its default trial count and tolerance where it has them; the CLI,
+Each check is declared once, with :func:`check`, under its suite, with
+its default trial count where it has one and exactly one bound; the CLI,
 the config file and the tests all read that registry, :data:`SUITES`.
-Seeds for individual checks are derived from the master seed and an
-RNG label, so checks can run in any order (or concurrently) without
+A check returns ``(residual, trials, details)`` and never its verdict:
+:func:`run_check` is the one place that compares a residual with its
+bound.  Seeds for individual checks are derived from the master seed and
+an RNG label, so checks can run in any order (or concurrently) without
 changing results.  A batch draws each kind of random value as one array
 call, so a check's stream depends on :data:`BATCH`.  Statistical checks
-keep fixed sample sizes, because their false-alarm rate depends on them.
+keep fixed sample sizes and bounds; their false-alarm rate depends on them.
 """
 
 import time
@@ -27,19 +29,21 @@ HAAR_PAIRS_PER_MAP = 50
 WITNESS_TRIALS = 8  # witness draws per classified matrix
 BATCH = 64  # samples per kernel call, which bounds the arrays a check holds at once
 
-# suite -> [(check name, function, default trials, default tolerance)], in
-# declaration order; None marks a knob the check does not have.
+# suite -> [(check name, function, default trials, tol, below, above)], in
+# declaration order; None marks a knob or bound the check does not have.
 SUITES = {}
 
 
-def check(suite, name, trials=None, tol=None):
-    """Register a check of ``suite`` with its default trial count and tolerance.
+def check(suite, name, trials=None, tol=None, below=None, above=None):
+    """Register a check of ``suite`` with its default trial count and one bound.
 
-    :func:`run_check` passes each declared knob to the function as the
-    keyword argument ``trials`` or ``tol``.
+    ``tol`` is an upper bound that ``--tol SUITE=`` overrides; ``below`` and
+    ``above`` are fixed upper and lower bounds, because a statistical check's
+    false-alarm rate depends on its bound.  :func:`run_check` passes a
+    declared trial count to the function as the keyword argument ``trials``.
     """
     def register(fn):
-        SUITES.setdefault(suite, []).append((name, fn, trials, tol))
+        SUITES.setdefault(suite, []).append((name, fn, trials, tol, below, above))
         return fn
     return register
 
@@ -79,37 +83,45 @@ class Settings:
 
 def check_seed(master_seed, check_name):
     """Per-check seed: master seed combined with a CRC of the check name."""
-    ss = np.random.SeedSequence([int(master_seed), zlib.crc32(check_name.encode())])
-    return ss
+    return np.random.SeedSequence([int(master_seed), zlib.crc32(check_name.encode())])
 
 
 def run_check(suite, entry, settings):
-    """Execute one ``(name, fn, trials, tol)`` entry of ``SUITES[suite]``.
+    """Execute one ``(name, fn, trials, tol, below, above)`` entry of ``SUITES[suite]``.
 
-    Each declared knob resolves to the suite's override or else the
-    check's default.  Returns the report dict; a resolved tolerance is
-    its top-level ``tolerance`` field.
+    A declared trial count or ``tol`` resolves to the suite's override or
+    else the check's default.  The check passes iff its residual is strictly
+    inside the bound (``residual < bound`` for ``tol`` or ``below``,
+    ``residual > bound`` for ``above``; NaN never is) and its details carry
+    no ``first_failure``.  The report's ``tolerance`` is the bound applied;
+    ``margin`` is residual / bound for an upper bound and bound / residual
+    for a lower one, so it is below 1 iff the bound is met; it is null where
+    the quotient is undefined (0 / 0 or NaN).
     """
-    name, fn, default_trials, default_tol = entry
-    knobs = {}
+    name, fn, default_trials, tol, below, above = entry
+    bound = next(b for b in (tol, below, above) if b is not None)
     start = time.perf_counter()
     try:
+        knobs = {}
         if default_trials is not None:
             knobs["trials"] = int(settings.trials.get(suite, default_trials))
-        if default_tol is not None:
-            knobs["tol"] = float(settings.tolerances.get(suite, default_tol))
-        passed, max_residual, trials, details = fn(settings, **knobs)
-        status = "pass" if passed else "fail"
+        if tol is not None:
+            bound = float(settings.tolerances.get(suite, tol))
+        residual, trials, details = fn(settings, **knobs)
+        residual = float(residual)
+        met = residual > bound if above is not None else residual < bound
+        status = "pass" if met and "first_failure" not in details else "fail"
+        num, den = (bound, residual) if above is not None else (residual, bound)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margin = float(np.divide(num, den))  # x / 0 is inf for x > 0
+        margin = None if np.isnan(margin) else margin
     except Exception as exc:  # noqa: BLE001 - harness must report, not crash
-        status, max_residual, trials = "error", None, 0
+        status, residual, margin, trials = "error", None, None, 0
         details = {"exception": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    report = {"check": name, "status": status, "max_residual": max_residual}
-    if "tol" in knobs:
-        report["tolerance"] = knobs["tol"]
-    report.update(trials=trials, seed=int(settings.seed), elapsed=round(elapsed, 6),
-                  details=details, suite=suite)
-    return report
+    return {"check": name, "status": status, "max_residual": residual, "tolerance": bound,
+            "margin": margin, "trials": trials, "seed": int(settings.seed),
+            "elapsed": round(elapsed, 6), "details": details, "suite": suite}
 
 
 def run_suite(names, settings):
@@ -123,10 +135,10 @@ def run_suite(names, settings):
 
 
 @check("metric", "metric.pullback", trials=500, tol=1e-12)
-def check_metric_pullback(settings, trials, tol):
+def check_metric_pullback(settings, trials):
     """Information metric equals the Euclidean metric of the sqrt embedding."""
     rng = settings.rng("metric.pullback")
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         m = int(rng.integers(2, 7))
         p = simplex.renormalized(rng.random(m) + 0.05)
@@ -134,16 +146,16 @@ def check_metric_pullback(settings, trials, tol):
         dp = (dp - dp.mean()) * 1e-3
         ds2 = simplex.info_metric_ds2(p, dp)
         dq2 = np.sum((dp / (2.0 * np.sqrt(p))) ** 2)
-        worst = max(worst, abs(ds2 - dq2))
-    return worst < tol, worst, trials, {}
+        devs.append(abs(ds2 - dq2))
+    return np.max(devs, initial=0.0), trials, {}
 
 
 @check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8)
-def check_metric_qspace(settings, trials, tol):
+def check_metric_qspace(settings, trials):
     """sum dQ^2 matches (1/4) sum dP^2/P on outcome probabilities."""
     rng = settings.rng("metric.qspace")
     h = 1e-5
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         # keep all outcome probabilities bounded away from zero
@@ -158,16 +170,16 @@ def check_metric_qspace(settings, trials, tol):
         P = q * q
         dP = q_plus**2 - q_minus**2
         ds2 = 0.25 * np.sum(dP**2 / P)
-        worst = max(worst, abs(ds2 - dq2) / dq2)
-    return worst < tol, worst, trials, {"displacement": h}
+        devs.append(abs(ds2 - dq2) / dq2)
+    return np.max(devs, initial=0.0), trials, {"displacement": h}
 
 
-@check("metric", "metric.geodesic", trials=200)
+@check("metric", "metric.geodesic", trials=200, below=0.05)
 def check_metric_geodesic(settings, trials):
     """Geodesic distance and metric agree to second order; triangle inequality."""
     rng = settings.rng("metric.geodesic")
-    worst_ratio = 0.0
-    for _ in range(trials):
+    small = []  # per sample: the deviation at the smaller scale
+    for t in range(trials):
         m = int(rng.integers(2, 6))
         p = simplex.renormalized(rng.random(m) + 0.1)
         dp = rng.normal(size=m)
@@ -178,43 +190,44 @@ def check_metric_geodesic(settings, trials):
             d = simplex.geodesic_distance(p, simplex.renormalized(p + scale * dp))
             ds2 = simplex.info_metric_ds2(p, scale * dp)
             devs.append(abs(d**2 / ds2 - 1.0))
+        small.append(devs[1])
         # deviation must shrink clearly with scale (mixed first/second
         # order terms make the exact decade factor vary per sample)
         if devs[1] > devs[0] / 3.0:
-            return False, devs[1], trials, {"diverging_ratio": devs}
-        worst_ratio = max(worst_ratio, devs[1])
-    tri_ok = True
-    for _ in range(trials):
+            return np.max(small), t + 1, {"first_failure": {"sample": t, "deviations": devs}}
+    for t in range(trials):
         m = int(rng.integers(2, 6))
         a, b, c = (simplex.renormalized(rng.random(m) + 1e-3) for _ in range(3))
         if simplex.geodesic_distance(a, c) > simplex.geodesic_distance(a, b) + simplex.geodesic_distance(b, c) + 1e-12:
-            tri_ok = False
-    passed = worst_ratio < 0.05 and tri_ok
-    return passed, worst_ratio, trials, {"triangle_inequality": tri_ok}
+            return np.max(small), trials, {"triangle_inequality": False,
+                                           "first_failure": {"triangle_sample": t}}
+    return np.max(small, initial=0.0), trials, {"triangle_inequality": True}
 
 
 # ------------------------------------------------------------------ coin
 
 
-@check("coin", "coin.expansion")
+@check("coin", "coin.expansion", below=0.02)
 def check_coin_expansion(settings):
     """log Bayes factor ~ 2n ds^2 for nearby coins, converging with |dp|."""
     n = COIN_N
     p = np.array([0.5, 0.5])
+    deltas = [1e-2, 1e-3, 1e-4]
     deviations = []
-    for delta in (1e-2, 1e-3, 1e-4):
+    for delta in deltas:
         dp = np.array([delta, -delta])
         lbf = simplex.log_bayes_factor(p, p + dp, n)
         ds2 = simplex.info_metric_ds2(p, dp)
         deviations.append(abs(lbf / (2.0 * n * ds2) - 1.0))
+    details = {"deviations": deviations, "dp": deltas}
     # at least first-order convergence per decade of |dp|
-    converging = all(deviations[k + 1] < deviations[k] / 5.0 for k in range(2))
-    small_enough = deviations[1] < 0.02
-    details = {"deviations": deviations, "dp": [1e-2, 1e-3, 1e-4]}
-    return converging and small_enough, deviations[0], 3, details
+    slow = [k for k in (1, 2) if not deviations[k] < deviations[k - 1] / 5.0]
+    if slow:
+        details["first_failure"] = {"dp": deltas[slow[0]]}
+    return deviations[1], 3, details
 
 
-@check("coin", "coin.monte_carlo")
+@check("coin", "coin.monte_carlo", below=3.0)
 def check_coin_monte_carlo(settings):
     """Monte-Carlo mean of ln(P_A/P_B) matches the analytic value within 3 SE."""
     rng = settings.rng("coin.monte_carlo")
@@ -228,27 +241,30 @@ def check_coin_monte_carlo(settings):
     z = abs(values.mean() - analytic) / se
     details = {"analytic": analytic, "empirical_mean": float(values.mean()),
                "standard_error": float(se), "z": float(z)}
-    return z < 3.0, float(z), datasets, details
+    return z, datasets, details
 
 
 # --------------------------------------------------------- measure-solver
 
 
 @check("measure-solver", "measure.ode_vs_closed_form", tol=1e-6)
-def check_measure_ode(settings, tol):
+def check_measure_ode(settings):
     """RK4 solution of F' = +/- 2a sqrt(F(1-F)) matches cos^2(a chi + b)."""
     a, b = 1.0, 0.0
     grid = np.linspace(0.0, 2.0 * np.pi, 629)
     sol = measure.solve_F_ode(a, 1.0, 0.0, grid, step=ODE_STEP)
     exact = np.cos(a * grid + b) ** 2
-    worst = float(np.max(np.abs(sol - exact)))
-    return worst < tol, worst, grid.size, {"step": ODE_STEP}
+    return np.max(np.abs(sol - exact)), grid.size, {"step": ODE_STEP}
 
 
 @check("measure-solver", "measure.invariant_density", trials=1000, tol=1e-9)
-def check_measure_invariant_density(settings, trials, tol):
-    """Induced density of the cos^2 family is constant (= 2|a|) on ``trials`` points."""
-    worst = 0.0
+def check_measure_invariant_density(settings, trials):
+    """Induced density of the cos^2 family is constant (= 2|a|) on ``trials`` points.
+
+    The residual is the largest deviation from 2|a| or relative variation
+    (max - min) / max of the density over three members of the family.
+    """
+    devs = []
     for a, b in ((1.0, 0.3), (3.0, 0.0), (0.5, 1.1)):
         ff = measure.cos_squared_family(a, b)
         period = np.pi / abs(a)
@@ -257,13 +273,11 @@ def check_measure_invariant_density(settings, trials, tol):
         half = np.linspace(eps, period / 2 - eps, trials // 2)
         grid = np.concatenate([half, half + period / 2]) - b / a + period
         dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
-        worst = max(worst, float(np.max(np.abs(dens - 2.0 * abs(a)))))
-        if not measure.is_translation_invariant(ff, grid, tol):
-            return False, worst, trials, {"family": f"cos^2({a} chi + {b})"}
-    return worst < tol, worst, trials, {}
+        devs += [np.max(np.abs(dens - 2.0 * abs(a))), (dens.max() - dens.min()) / dens.max()]
+    return np.max(devs), trials, {}
 
 
-@check("measure-solver", "measure.counterexamples", trials=1000)
+@check("measure-solver", "measure.counterexamples", trials=1000, above=0.10)
 def check_measure_counterexamples(settings, trials):
     """Non-sinusoidal embeddings are rejected: density varies by > 10% on ``trials`` points."""
     quad = measure.EmbeddingFunction(
@@ -273,19 +287,15 @@ def check_measure_counterexamples(settings, trials):
         dF=lambda x: 0.45 / np.cosh(x) ** 2,
         domain=(-2.0, 2.0))
     variations = {}
-    ok = True
     for name, ff in (("quadratic", quad), ("logistic", logi)):
         lo, hi = ff.domain
         grid = np.linspace(lo + 1e-3, hi - 1e-3, trials)
         dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
-        variation = float((dens.max() - dens.min()) / dens.max())
-        variations[name] = variation
-        if variation <= 0.10 or measure.is_translation_invariant(ff, grid, 0.10):
-            ok = False
-    return ok, min(variations.values()), trials, {"density_variation": variations}
+        variations[name] = float((dens.max() - dens.min()) / dens.max())
+    return np.min(list(variations.values())), trials, {"density_variation": variations}
 
 
-@check("measure-solver", "measure.ode_convergence")
+@check("measure-solver", "measure.ode_convergence", above=8.0)
 def check_measure_convergence(settings):
     """Halving the RK4 step reduces the error at least 8x away from turning points."""
     a = 1.0
@@ -297,17 +307,17 @@ def check_measure_convergence(settings):
                                   step=step, rising=False)
         errors.append(float(np.max(np.abs(sol - exact))))
     ratio = errors[0] / errors[1]
-    return ratio >= 8.0, errors[1], grid.size, {"errors": errors, "ratio": ratio}
+    return ratio, grid.size, {"errors": errors, "ratio": ratio}
 
 
 # -------------------------------------------------------------- classify
 
 
 @check("classify", "classify.roundtrip", trials=1000, tol=1e-9)
-def check_classify_roundtrip(settings, trials, tol):
+def check_classify_roundtrip(settings, trials):
     """Haar unitaries and antiunitaries survive realify -> classify (``trials`` per dimension)."""
     rng = settings.rng("classify.roundtrip")
-    worst = 0.0
+    devs = []
     total = 0
     for n in settings.dimensions:
         for batch in _batches(trials):
@@ -318,39 +328,40 @@ def check_classify_roundtrip(settings, trials, tol):
             wrong = np.argwhere(kind != transforms.KINDS[1:])
             if wrong.size:
                 t, anti = wrong[0]
-                return False, 1.0, total + 2 * int(t) + int(anti) + 1, _kind_failure(
+                return 1.0, total + 2 * int(t) + int(anti) + 1, _kind_failure(
                     batch[t], n, transforms.KINDS[1 + anti], kind[t, anti])
             total += kind.size
-            worst = max(worst, float(np.max(np.abs(found_v - v[:, None]))))
-    return worst < tol, worst, total, {"dimensions": list(settings.dimensions)}
+            devs.append(np.max(np.abs(found_v - v[:, None])))
+    return np.max(devs, initial=0.0), total, {"dimensions": list(settings.dimensions)}
 
 
-@check("classify", "classify.rejects_generic", trials=1000)
+@check("classify", "classify.rejects_generic", trials=1000, above=1e-2)
 def check_classify_rejects_generic(settings, trials):
     """Generic orthogonal matrices are rejected and fail the witness (``trials`` per dimension)."""
     rng = settings.rng("classify.generic")
     total = 0
-    min_dev = np.inf
+    devs = []
     for n in settings.dimensions:
         for batch in _batches(trials):
             m = sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))
             z, phi0 = transforms.witness_draws(n, (len(batch), 1, WITNESS_TRIALS), rng)
             kind = transforms.classify_batch(m)[0]
-            dev = transforms.witness_deviation(m, z[:, 0], phi0[:, 0])
-            bad = np.flatnonzero((kind != transforms.REJECTED) | (dev <= 1e-2))
-            if bad.size:
-                t = int(bad[0])
-                return False, float(dev[t]), total + t + 1, {"n": n, "verdict": str(kind[t])}
+            devs.append(transforms.witness_deviation(m, z[:, 0], phi0[:, 0]).min())
+            accepted = np.flatnonzero(kind != transforms.REJECTED)
+            if accepted.size:
+                t = int(accepted[0])
+                return np.min(devs), total + t + 1, _kind_failure(
+                    batch[t], n, transforms.REJECTED, kind[t])
             total += len(batch)
-            min_dev = min(min_dev, float(dev.min()))
-    return True, float(min_dev), total, {"min_witness_deviation": float(min_dev)}
+    min_dev = float(np.min(devs, initial=np.inf))
+    return min_dev, total, {"min_witness_deviation": min_dev}
 
 
-@check("classify", "classify.witness_agreement", trials=250, tol=1e-9)
-def check_classify_witness_agreement(settings, trials, tol):
-    """classify and the gauge-invariance witness agree on the whole corpus."""
+@check("classify", "classify.witness_agreement", trials=250, below=1)
+def check_classify_witness_agreement(settings, trials):
+    """classify and the gauge-invariance witness agree on the whole corpus; counts disagreements."""
     rng = settings.rng("classify.agreement")
-    total, disagreements = 0, 0
+    total, disagreements, first = 0, 0, {}
     for n in settings.dimensions:
         for batch in _batches(trials):
             # per sample: a unitary's two realifications and a generic matrix
@@ -361,19 +372,24 @@ def check_classify_witness_agreement(settings, trials, tol):
             z, phi0 = transforms.witness_draws(n, (len(batch), 3, WITNESS_TRIALS), rng)
             kind = transforms.classify_batch(m)[0]
             dev = transforms.witness_deviation(m, z, phi0)
+            wrong = np.argwhere((kind != transforms.REJECTED) != (dev < transforms.WITNESS_TOL))
+            if wrong.size and not first:
+                t, j = wrong[0]
+                first = {"first_failure": {"sample": int(batch[t]), "n": n, "found": str(kind[t, j]),
+                                           "witness_deviation": float(dev[t, j])}}
             total += kind.size
-            disagreements += int(np.count_nonzero((kind != transforms.REJECTED) != (dev < tol)))
-    return disagreements == 0, float(disagreements), total, {"disagreements": disagreements}
+            disagreements += len(wrong)
+    return disagreements, total, {"disagreements": disagreements, **first}
 
 
 @check("classify", "classify.composition", trials=200, tol=1e-9)
-def check_classify_composition(settings, trials, tol):
+def check_classify_composition(settings, trials):
     """classify respects the unitary/antiunitary composition table."""
     rng = settings.rng("classify.composition")
     dims = rng.integers(2, 6, trials)
     k1, k2 = rng.integers(0, 2, (2, trials))  # 1 = antiunitary
     kind = np.empty(trials, dtype=transforms.KINDS.dtype)
-    worst = 0.0
+    devs = []
     for n in np.unique(dims):
         at = np.flatnonzero(dims == n)
         v1, v2 = sampling.haar_unitary(n, rng, count=2 * at.size).reshape(
@@ -382,13 +398,13 @@ def check_classify_composition(settings, trials, tol):
         m1, m2 = (np.where(anti, transforms.realify_antiunitary(v), transforms.realify_unitary(v))
                   for anti, v in ((anti1, v1), (anti2, v2)))
         kind[at], found_v, _, _ = transforms.classify_batch(m1 @ m2)
-        worst = max(worst, float(np.max(np.abs(found_v - v1 @ np.where(anti1, v2.conj(), v2)))))
+        devs.append(np.max(np.abs(found_v - v1 @ np.where(anti1, v2.conj(), v2))))
     expected = transforms.KINDS[1 + (k1 != k2)]
     wrong = np.flatnonzero(kind != expected)
     if wrong.size:
         t = wrong[0]
-        return False, 1.0, trials, _kind_failure(t, dims[t], expected[t], kind[t])
-    return worst < tol, worst, trials, {}
+        return 1.0, trials, _kind_failure(t, dims[t], expected[t], kind[t])
+    return np.max(devs, initial=0.0), trials, {}
 
 
 def _batches(trials):
@@ -405,11 +421,10 @@ def _kind_failure(sample, n, expected, found):
 
 
 @check("born", "born.exact", trials=1000, tol=1e-12)
-def check_born_exact(settings, trials, tol):
+def check_born_exact(settings, trials):
     """Arrangement distribution equals Born probabilities, phases irrelevant."""
     rng = settings.rng("born.exact")
-    worst = 0.0
-    total = 0
+    devs = []
     for n in (2, 3, 5):
         for _ in range(trials):
             basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
@@ -419,12 +434,11 @@ def check_born_exact(settings, trials, tol):
                 theta_out=rng.uniform(0, 2 * np.pi, n))
             exact = measurement.arrangement_probs(arr, v)
             born = measurement.born_probs(v, basis)
-            worst = max(worst, float(np.max(np.abs(exact - born))))
-            total += 1
-    return worst < tol, worst, total, {"dimensions": [2, 3, 5]}
+            devs.append(np.max(np.abs(exact - born)))
+    return np.max(devs, initial=0.0), len(devs), {"dimensions": [2, 3, 5]}
 
 
-@check("simulate", "simulate.frequencies")
+@check("simulate", "simulate.frequencies", below=3.0)
 def check_born_sampled(settings):
     """Sampled result frequencies match Born probabilities within 3 sigma."""
     rng = settings.rng("born.sampled")
@@ -438,11 +452,10 @@ def check_born_sampled(settings):
     counts = np.bincount(i, minlength=n)
     sigma = np.sqrt(trials * p * (1.0 - p))
     z = np.abs(counts - trials * p) / sigma
-    worst = float(np.max(z))
-    return worst < 3.0, worst, trials, {"born": p.tolist(), "counts": counts.tolist()}
+    return np.max(z), trials, {"born": p.tolist(), "counts": counts.tolist()}
 
 
-@check("simulate", "simulate.reproducibility", trials=100_000)
+@check("simulate", "simulate.reproducibility", trials=100_000, below=1)
 def check_born_reproducible(settings, trials):
     """Immediately repeating a measurement reproduces its result, always."""
     rng = settings.rng("born.reproducible")
@@ -454,19 +467,22 @@ def check_born_reproducible(settings, trials):
     u = rng.random((trials, 2))  # per trial: the first measurement's draw, then the repeat's
     i, out = measurement.simulate_batch(arr, v, u[:, 0])
     j, _ = measurement.simulate_batch(arr, out, u[:, 1])
-    mismatches = int(np.count_nonzero(i != j))
-    return mismatches == 0, float(mismatches), trials, {"mismatches": mismatches}
+    mismatched = np.flatnonzero(i != j)
+    details = {"mismatches": mismatched.size}
+    if mismatched.size:
+        t = int(mismatched[0])
+        details["first_failure"] = {"sample": t, "result": int(i[t]), "repeat": int(j[t])}
+    return mismatched.size, trials, details
 
 
 # --------------------------------------------------------------- compose
 
 
 @check("compose", "compose.dual_route", trials=1000, tol=1e-12)
-def check_compose_dual_route(settings, trials, tol):
+def check_compose_dual_route(settings, trials):
     """Kronecker product agrees with the probabilities-multiply/phases-add rule."""
     rng = settings.rng("compose.dual")
-    worst = 0.0
-    total = 0
+    devs = []
     for n1 in (2, 3):
         for n2 in (2, 3):
             for _ in range(trials // 2):
@@ -477,16 +493,15 @@ def check_compose_dual_route(settings, trials, tol):
                 direct = composite.tensor(
                     qspace.to_complex(qspace.from_phase_rep(s1)),
                     qspace.to_complex(qspace.from_phase_rep(s2)))
-                worst = max(worst, float(np.max(np.abs(via_reps - direct))))
-                total += 1
-    return worst < tol, worst, total, {}
+                devs.append(np.max(np.abs(via_reps - direct)))
+    return np.max(devs, initial=0.0), len(devs), {}
 
 
 @check("compose", "compose.born_factorization", trials=300, tol=1e-12)
-def check_compose_born_factorization(settings, trials, tol):
+def check_compose_born_factorization(settings, trials):
     """Born distribution of a product state in a product basis factorizes."""
     rng = settings.rng("compose.born")
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         u1, u2 = sampling.haar_unitary(n1, rng), sampling.haar_unitary(n2, rng)
@@ -496,30 +511,29 @@ def check_compose_born_factorization(settings, trials, tol):
         joint = measurement.born_probs(composite.tensor(v1, v2), basis)
         p1 = measurement.born_probs(v1, measurement.MeasurementBasis(u1))
         p2 = measurement.born_probs(v2, measurement.MeasurementBasis(u2))
-        worst = max(worst, float(np.max(np.abs(joint - np.outer(p1, p2).ravel()))))
-    return worst < tol, worst, trials, {}
+        devs.append(np.max(np.abs(joint - np.outer(p1, p2).ravel())))
+    return np.max(devs, initial=0.0), trials, {}
 
 
 @check("compose", "compose.energy_additivity", trials=1000, tol=1e-12)
-def check_compose_energy_additivity(settings, trials, tol):
+def check_compose_energy_additivity(settings, trials):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
     rng = settings.rng("compose.energy")
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         s1 = _random_full_support_rep(int(rng.integers(2, 4)), rng)
         s2 = _random_full_support_rep(int(rng.integers(2, 4)), rng)
         e1, e2 = rng.normal(scale=3.0), rng.normal(scale=3.0)
         dt = rng.uniform(0.0, 2.0)
-        resid = composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0)
-        worst = max(worst, float(resid))
-    return worst < tol, worst, trials, {}
+        devs.append(composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0))
+    return np.max(devs, initial=0.0), trials, {}
 
 
 @check("compose", "compose.subsystem_observable", trials=200, tol=1e-12)
-def check_compose_subsystem(settings, trials, tol):
+def check_compose_subsystem(settings, trials):
     """<A (x) I> on product states equals the single-system expectation."""
     rng = settings.rng("compose.subsystem")
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         obs = measurement.Observable(
@@ -530,19 +544,18 @@ def check_compose_subsystem(settings, trials, tol):
         lifted = composite.subsystem_observable(obs, n2, position="first")
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
         b = measurement.expected_value(v1, obs)
-        worst = max(worst, abs(a - b))
-    return worst < tol, worst, trials, {}
+        devs.append(abs(a - b))
+    return np.max(devs, initial=0.0), trials, {}
 
 
-@check("compose", "compose.degenerate_grouping")
+@check("compose", "compose.degenerate_grouping", below=1e-12)
 def check_compose_degenerate_example(settings):
     """Three results, two shared values: probabilities group as (p1, p2 + p3)."""
     basis = measurement.MeasurementBasis.standard(3)
     p = np.array([0.2, 0.3, 0.5])
     v = np.sqrt(p).astype(complex)
     grouped = measurement.degenerate_probs(v, basis, values=[1.0, 2.0, 2.0])
-    resid = max(abs(grouped[1.0] - 0.2), abs(grouped[2.0] - 0.8))
-    return resid < 1e-12, float(resid), 1, {"grouped": grouped}
+    return np.max(np.abs([grouped[1.0] - 0.2, grouped[2.0] - 0.8])), 1, {"grouped": grouped}
 
 
 def _random_full_support_rep(n, rng):
@@ -555,11 +568,11 @@ def _random_full_support_rep(n, rng):
 
 
 @check("dynamics", "dynamics.correspondence", trials=200, tol=1e-12)
-def check_dynamics_correspondence(settings, trials, tol):
+def check_dynamics_correspondence(settings, trials):
     """Stationary phase evolution matches the classical action shift."""
     rng = settings.rng("dynamics.correspondence")
     alpha = 1.0
-    worst = 0.0
+    devs = []
     for _ in range(trials):
         n = int(rng.integers(3, 8))
         p = simplex.renormalized(rng.random(n) + 0.05)
@@ -571,25 +584,27 @@ def check_dynamics_correspondence(settings, trials, tol):
         via_phase = dynamics.evolve_stationary(
             dynamics.phase_rep_from_hj(state, alpha), e, dt, alpha)
         d = np.abs(via_hj.phi - via_phase.phi) % (2.0 * np.pi)
-        worst = max(worst, float(np.max(np.minimum(d, 2.0 * np.pi - d))))
-    return worst < tol, worst, trials, {}
+        devs.append(np.max(np.minimum(d, 2.0 * np.pi - d)))
+    return np.max(devs, initial=0.0), trials, {}
 
 
-@check("dynamics", "dynamics.unitary_evolution", trials=50)
+@check("dynamics", "dynamics.unitary_evolution", trials=50, below=1)
 def check_dynamics_unitary(settings, trials):
-    """Stationary evolution realifies to a map classified as unitary."""
+    """Stationary evolution realifies to a map classified as unitary; counts other verdicts."""
     rng = settings.rng("dynamics.unitary")
-    for _ in range(trials):
+    failures, first = 0, {}
+    for t in range(trials):
         n = int(rng.integers(2, 6))
         shift = rng.normal()
         m = transforms.realify_unitary(np.exp(-1j * shift) * np.eye(n))
         g = transforms.classify(m)
         if g.kind != "unitary":
-            return False, 1.0, trials, {"got": g.kind}
-    return True, 0.0, trials, {}
+            failures += 1
+            first = first or {"first_failure": {"sample": t, "n": n, "found": g.kind}}
+    return failures, trials, first
 
 
-@check("dynamics", "dynamics.hj_residuals")
+@check("dynamics", "dynamics.hj_residuals", below=1e-9)
 def check_dynamics_residuals(settings):
     """Plane wave: residual 0; spreading family: second-order convergence."""
     m_mass, momentum = 1.0, 0.7
@@ -599,7 +614,7 @@ def check_dynamics_residuals(settings):
                                             x0=-1.0, n=201, t=t)
 
     c0, h0 = dynamics.hj_residual(plane, t=1.0, dt=0.01)
-    plane_resid = max(c0, h0)
+    plane_resid = np.max([c0, h0])
 
     def spreading(h, dt):
         n = int(round(3.6 / h)) + 1
@@ -613,53 +628,55 @@ def check_dynamics_residuals(settings):
     coarse = spreading(0.02, 0.02)
     fine = spreading(0.01, 0.01)
     ratios = [c / f for c, f in zip(coarse, fine)]
-    passed = plane_resid < 1e-9 and all(r >= 3.5 for r in ratios)
     details = {"plane_wave_residual": plane_resid,
                "coarse": list(coarse), "fine": list(fine), "ratios": ratios}
-    return passed, plane_resid, 2, details
+    # second-order convergence: halving h and dt cuts each residual about 4x
+    slow = [k for k, r in enumerate(ratios) if not r >= 3.5]
+    if slow:
+        details["first_failure"] = {"equation": ("continuity", "hamilton_jacobi")[slow[0]]}
+    return plane_resid, 2, details
 
 
 # ------------------------------------------------------------------ haar
 
 
 @check("haar", "haar.metric_invariance", trials=100, tol=1e-10)
-def check_haar_metric_invariance(settings, trials, tol):
+def check_haar_metric_invariance(settings, trials):
     """|dv|^2 between nearby states is preserved by ``trials`` gauge maps per kind."""
     rng = settings.rng("haar.metric")
     pairs = HAAR_PAIRS_PER_MAP
     n = 3
-    worst = 0.0
-    total = 0
+    devs = []
     for kind in ("unitary", "antiunitary"):
         for k in range(trials):
             g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
-            dev = sampling.metric_invariance_check(
-                g, pairs, seed=int(rng.integers(2**63)))
-            worst = max(worst, dev)
-            total += pairs
-    return worst < tol, worst, total, {"pairs_per_map": pairs}
+            devs.append(sampling.metric_invariance_check(
+                g, pairs, seed=int(rng.integers(2**63))))
+    return np.max(devs, initial=0.0), pairs * len(devs), {"pairs_per_map": pairs}
 
 
-@check("haar", "haar.uniformity")
+@check("haar", "haar.uniformity", above=sampling.SIGNIFICANCE)
 def check_haar_uniformity(settings):
-    """Pushforward of the uniform measure through a gauge map stays uniform."""
+    """Pushforward of the uniform measure through a gauge map stays uniform.
+
+    The residual is the lesser Bonferroni-adjusted minimum p-value of the two maps.
+    """
     rng = settings.rng("haar.uniformity")
     samples = 100_000  # fixed sample size
     n = 3
-    results = {}
-    ok = True
+    results, adjusted = {}, []
     for kind in ("unitary", "antiunitary"):
         g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
         rep = sampling.measure_invariance_check(
             g, samples, bins=50, seed=int(rng.integers(2**63)))
         results[kind] = min(rep["p_values"].values())
-        ok = ok and rep["passed"]
-    return ok, float(1.0 - min(results.values())), samples, {"min_p_values": results}
+        adjusted.append(rep["adjusted_p"])
+    return np.min(adjusted), samples, {"min_p_values": results}
 
 
-@check("haar", "haar.negative_control")
+@check("haar", "haar.negative_control", below=sampling.SIGNIFICANCE)
 def check_haar_negative_control(settings):
-    """A non-norm-preserving map visibly distorts the uniform measure."""
+    """A non-norm-preserving map visibly distorts the uniform measure (adjusted min p)."""
     rng = settings.rng("haar.negative")
     samples = 100_000  # fixed sample size
     n = 3
@@ -669,13 +686,12 @@ def check_haar_negative_control(settings):
 
     rep = sampling.pushforward_uniformity(
         squarer, n, samples, bins=50, seed=int(rng.integers(2**63)))
-    return (not rep["passed"]), float(min(rep["p_values"].values())), samples, {
-        "min_p_value": float(min(rep["p_values"].values()))}
+    return rep["adjusted_p"], samples, {"min_p_value": float(min(rep["p_values"].values()))}
 
 
-@check("haar", "haar.rotation_invariance")
+@check("haar", "haar.rotation_invariance", above=sampling.SIGNIFICANCE)
 def check_haar_rotation_invariance(settings):
-    """Projections of uniform samples onto any fixed direction agree (KS test)."""
+    """Projections of uniform samples onto any fixed direction agree (KS test p-value)."""
     from scipy import stats
 
     rng = settings.rng("haar.rotation")
@@ -687,5 +703,5 @@ def check_haar_rotation_invariance(settings):
     u1 /= np.linalg.norm(u1)
     u2 = rng.normal(size=2 * n)
     u2 /= np.linalg.norm(u2)
-    stat, p = stats.ks_2samp(qs @ u1, qs @ u2)
-    return p >= 0.001, float(stat), samples, {"p_value": float(p)}
+    p = stats.ks_2samp(qs @ u1, qs @ u2).pvalue
+    return p, samples, {"p_value": float(p)}

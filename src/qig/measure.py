@@ -32,19 +32,6 @@ class EmbeddingFunction:
         if not lo < hi:
             raise ValueError("domain must be a nondegenerate interval")
 
-    def check_consistency(self, n_points=101, tol=1e-6, h=1e-7):
-        """Verify 0 <= F <= 1 and that dF matches F by central differences."""
-        lo, hi = self.domain
-        xs = np.linspace(lo + h, hi - h, n_points)
-        Fv = np.array([self.F(x) for x in xs])
-        if np.any(Fv < -1e-12) or np.any(Fv > 1 + 1e-12):
-            raise ValueError("F leaves [0, 1] on its domain")
-        num = np.array([(self.F(x + h) - self.F(x - h)) / (2 * h) for x in xs])
-        dec = np.array([self.dF(x) for x in xs])
-        if np.max(np.abs(num - dec)) > tol:
-            raise ValueError("declared derivative inconsistent with F")
-        return True
-
 
 def cos_squared_family(a=1.0, b=0.0, domain=None):
     """The translation-invariant family F(chi) = cos^2(a chi + b)."""

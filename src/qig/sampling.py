@@ -89,10 +89,7 @@ def _uniformity_pvalues(states, bins):
     count, n = states.shape
     pvals = {}
     probs = np.abs(states) ** 2
-    for i in range(n):
-        if n == 1:
-            u = probs[:, i]  # identically 1; skip
-            continue
+    for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
         u = 1.0 - (1.0 - probs[:, i]) ** (n - 1)
         pvals[f"|v_{i}|^2"] = _chi2_uniform(u, bins)
     for i in range(n):
@@ -126,14 +123,15 @@ def pushforward_uniformity(transform, n, samples, bins, seed):
     ``seed``, through ``transform`` (which maps an array of row states
     to row states; any callable, so negative controls call this
     directly), renormalizes, and chi-squared-tests the uniformity
-    statistics.  Returns a dict with the per-statistic p-values and a
-    Bonferroni verdict at significance ``SIGNIFICANCE``.
+    statistics.  Returns a dict with the per-statistic p-values, their
+    Bonferroni-adjusted minimum ``adjusted_p`` (1 if there are none) and
+    the verdict ``adjusted_p > SIGNIFICANCE``.
     """
     states = sample_uniform(n, samples, np.random.default_rng(seed))
     pushed = transform(states)
     pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
     pvals = _uniformity_pvalues(pushed, bins)
     threshold = SIGNIFICANCE / max(len(pvals), 1)
-    verdict = all(p >= threshold for p in pvals.values())
-    return {"p_values": pvals, "passed": verdict,
+    adjusted = float(np.min([len(pvals) * p for p in pvals.values()], initial=1.0))
+    return {"p_values": pvals, "adjusted_p": adjusted, "passed": adjusted > SIGNIFICANCE,
             "significance": SIGNIFICANCE, "threshold": threshold}

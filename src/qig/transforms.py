@@ -245,17 +245,3 @@ def witness_deviation(m, z, phi0):
 def _dot(x, y):
     """x . y over the last axis by one BLAS dot per row, which sums as ``np.linalg.norm`` does."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def unitarity_orthogonality_bridge(v):
-    """Residuals (||M^T M - I||, ||V^dag V - I||) for V and its realification.
-
-    The two residuals track each other (the realification doubles each
-    complex degree of freedom), so one is small iff the other is.
-    """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    m = _realify_blocks(v, 1.0)
-    r_real = float(np.linalg.norm(m.T @ m - np.eye(2 * n)))
-    r_cplx = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
-    return r_real, r_cplx

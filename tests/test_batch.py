@@ -4,8 +4,10 @@ The stacked kernels (``classify_batch``, ``witness_deviation``,
 ``simulate_batch``, stacked Haar draws, ``apply`` on rows,
 ``metric_invariance_check``) must give what the scalar calls or the
 loops they replaced give element by element; each rewritten
-``classify.*``/``simulate.*`` check must fail on a planted defect; and no
-check may validate its inputs once per trial.
+``classify.*``/``simulate.*`` check must fail on a planted defect, with
+its margin on the failing side of 1; a kernel that returns NaN must fail
+the checks that call it; and no check may validate its inputs once per
+trial.
 """
 
 import collections
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import qig
-from qig import composite, harness, measurement, qspace, sampling, transforms
+from qig import composite, harness, measure, measurement, qspace, sampling, simplex, transforms
 
 FLIP = np.diag([1.0, -1.0])
 SHAPES = ("unitary", "antiunitary", "generic", "mixed", "zero_block", "unequal_norms",
@@ -332,6 +334,31 @@ def test_planted_defect_fails_its_check(defect, monkeypatch):
     for name in names:
         assert harness.run_check(*CHECKS[name], SMALL)["status"] == "pass", name
     for name, report in run_with(monkeypatch, module, old, new, names).items():
+        assert report["status"] == "fail" and report["margin"] >= 1, (name, report)
+
+
+# kernel -> a stand-in returning NaN in its result's shape, and the checks that call it
+NAN_KERNELS = {
+    (measurement, "born_probs"): (lambda v, basis: np.full(np.shape(v)[-1], np.nan),
+                                  ["born.exact", "compose.born_factorization"]),
+    (simplex, "info_metric_ds2"): (lambda p, dp: np.nan, ["metric.pullback", "metric.geodesic"]),
+    (transforms, "witness_deviation"): (lambda m, z, phi0: np.full(np.shape(m)[:-2], np.nan),
+                                        ["classify.rejects_generic"]),
+    (sampling, "metric_invariance_check"): (lambda *args, **kwargs: np.nan,
+                                            ["haar.metric_invariance"]),
+    (composite, "energy_additivity_check"): (lambda *args, **kwargs: np.nan,
+                                             ["compose.energy_additivity"]),
+    (measure, "induced_measure_density"): (lambda ff, chi: np.nan, ["measure.counterexamples"]),
+}
+
+
+@pytest.mark.parametrize("kernel", NAN_KERNELS, ids=lambda kernel: kernel[1])
+def test_nan_from_a_kernel_fails_its_checks(kernel, monkeypatch):
+    stand_in, names = NAN_KERNELS[kernel]
+    monkeypatch.setattr(*kernel, stand_in)
+    few = harness.Settings(trials=dict.fromkeys(harness.overridable("trials"), 20))
+    for name in names:
+        report = harness.run_check(*CHECKS[name], few)
         assert report["status"] == "fail", (name, report)
 
 
@@ -349,6 +376,9 @@ def test_wrong_kind_reports_first_failure(monkeypatch):
 
 
 def test_composition_tolerance_is_declared():
+    # every check declares exactly one bound: a tol, a fixed below or a fixed above
+    for suite, entry in CHECKS.values():
+        assert [b is not None for b in entry[3:]].count(True) == 1, entry[0]
     report = harness.run_check(*CHECKS["classify.composition"], harness.Settings())
     assert report["status"] == "pass" and report["tolerance"] == 1e-9
     strict = harness.Settings(tolerances={"classify": 0.0})

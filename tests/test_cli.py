@@ -4,6 +4,7 @@ import pytest
 
 from qig import cli
 from qig.harness import SUITES, overridable
+from qig.sampling import SIGNIFICANCE
 
 
 def run_cli(argv, capsys):
@@ -123,8 +124,8 @@ def test_report_fields(capsys):
     _, out = run_cli(["coin", "--seed", "1"], capsys)
     reports, _ = parse_reports(out)
     for r in reports:
-        assert {"suite", "check", "status", "seed",
-                "max_residual", "trials", "elapsed"} <= set(r)
+        assert {"suite", "check", "status", "seed", "max_residual", "tolerance",
+                "margin", "trials", "elapsed"} <= set(r)
         assert r["status"] in ("pass", "fail", "error")
 
     # trials reports what ran: --trials reaches every declared count, and
@@ -138,6 +139,10 @@ def test_report_fields(capsys):
     metric = next(r for r in reports if r["check"] == "haar.metric_invariance")
     assert metric["trials"] == 2000
     assert metric["tolerance"] == 1e-9 and "tolerance" not in metric["details"]
+    # --tol reaches only a declared tol; the statistical checks' bounds are fixed
+    for r in reports:
+        if r["check"] != "haar.metric_invariance":
+            assert r["tolerance"] == SIGNIFICANCE, r
 
 
 @pytest.mark.parametrize("suite", overridable("trials"))
@@ -147,6 +152,6 @@ def test_trials_reach_every_declared_count(suite, capsys):
         _, out = run_cli([suite, "--n", "2", "--trials", trials], capsys)
         reports, _ = parse_reports(out)
         counts.append({r["check"]: r["trials"] for r in reports})
-    for name, _, default_trials, _ in SUITES[suite]:
+    for name, _, default_trials, *_ in SUITES[suite]:
         if default_trials is not None:
             assert counts[0][name] != counts[1][name], name

@@ -12,19 +12,6 @@ def full_support_rep(n, rng):
     return qspace.PhaseRep(p=p, phi=tuple(rng.uniform(0, 2 * np.pi, n)))
 
 
-def test_index_bijection():
-    n1, n2 = 3, 4
-    seen = set()
-    for i in range(n1):
-        for j in range(n2):
-            l = composite.composite_index(n1, n2, i, j)
-            assert composite.split_index(n1, n2, l) == (i, j)
-            seen.add(l)
-    assert seen == set(range(n1 * n2))
-    with pytest.raises(IndexError):
-        composite.composite_index(n1, n2, 3, 0)
-
-
 def test_compose_vertices():
     s1 = qspace.PhaseRep(p=[1.0, 0.0], phi=(0.0, None))
     out = composite.compose_phase_reps(s1, s1)
@@ -71,19 +58,6 @@ def test_tensor_matches_phase_rep_composition():
         direct = composite.tensor(qspace.to_complex(qspace.from_phase_rep(s1)),
                                   qspace.to_complex(qspace.from_phase_rep(s2)))
         assert np.max(np.abs(via_reps - direct)) < 1e-12
-
-
-def test_fold():
-    rng = np.random.default_rng(2)
-    a, b, c = (haar_unitary(2, rng)[:, 0] for _ in range(3))
-    assert_allclose(composite.fold([a]), a, atol=0)
-    left = composite.tensor(composite.tensor(a, b), c)
-    right = composite.tensor(a, composite.tensor(b, c))
-    assert_allclose(left, right, atol=0)  # exact associativity
-    assert_allclose(composite.fold([a, b, c]), left, atol=0)
-    assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        composite.fold([])
 
 
 def test_gauge_shift_compatibility():

@@ -66,16 +66,6 @@ def test_constant_F_is_rejected():
         measure.is_translation_invariant(ff, np.linspace(0.1, 0.9, 10), 1e-9)
 
 
-def test_embedding_consistency_check():
-    good = measure.cos_squared_family(1.0, 0.0)
-    assert good.check_consistency()
-    bad = measure.EmbeddingFunction(F=lambda x: np.cos(x) ** 2,
-                                    dF=lambda x: np.cos(x),  # wrong derivative
-                                    domain=(0.1, 1.0))
-    with pytest.raises(ValueError):
-        bad.check_consistency()
-
-
 def test_f_ftilde_pythagorean_identity():
     chi = np.linspace(-5.0, 5.0, 1001)
     f = np.cos(1.7 * chi + 0.4)

@@ -212,22 +212,3 @@ def test_unitary_family_connected_to_identity():
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     assert dists[-1] < 0.1
 
-
-def test_unitarity_orthogonality_bridge():
-    rng = np.random.default_rng(10)
-    v = haar_unitary(3, rng)
-    r_real, r_cplx = transforms.unitarity_orthogonality_bridge(v)
-    assert r_real < 1e-12 and r_cplx < 1e-12
-
-    r_real, r_cplx = transforms.unitarity_orthogonality_bridge(1.1 * v)
-    assert r_real > 1e-2 and r_cplx > 1e-2
-    assert r_real <= np.sqrt(2.0) * r_cplx + 1e-12
-
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        if rng.integers(0, 2):
-            w = haar_unitary(n, rng) + rng.normal(scale=1e-13, size=(n, n))
-        r_real, r_cplx = transforms.unitarity_orthogonality_bridge(w)
-        assert_allclose(r_real, np.sqrt(2.0) * r_cplx, rtol=1e-9, atol=1e-14)
-        assert (r_real < 1e-10) == (r_cplx < 1e-10)
