@@ -25,13 +25,11 @@ print(f"arrangement probabilities (random free phases): "
       f"{np.round(measurement.arrangement_probs(arr, v), 4)}")
 
 trials = 50_000
-counts = np.zeros(3, dtype=int)
-repeats_agree = 0
-for _ in range(trials):
-    i, out = measurement.simulate_measurement(arr, v, rng)
-    counts[i] += 1
-    j, _ = measurement.simulate_measurement(arr, out, rng)
-    repeats_agree += (i == j)
+u = rng.random((trials, 2))  # per trial: the first measurement's draw, then the repeat's
+i, out = measurement.simulate_batch(arr, v, u[:, 0])
+j, _ = measurement.simulate_batch(arr, out, u[:, 1])
+counts = np.bincount(i, minlength=3)
+repeats_agree = np.count_nonzero(i == j)
 print(f"frequencies over {trials} trials: {np.round(counts / trials, 4)}")
 print(f"repeated measurement reproduced its result {repeats_agree}/{trials} times")
 

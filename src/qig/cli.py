@@ -15,7 +15,7 @@ file's ``tolerances`` and ``trials`` dicts set that knob for every check
 of the suite that declares it, and ``--trials N`` sets every declared
 trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
 A key that is not a suite declaring the knob is an error (exit status 2;
-the message lists the valid keys).  The statistical checks keep fixed
+the message lists the valid keys), and so is a trial count below 1.  The statistical checks keep fixed
 sample sizes and bounds, because their false-alarm rate depends on them.
 """
 
@@ -94,7 +94,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         settings = load_settings(args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     stream = open(args.out, "w") if args.out else sys.stdout
@@ -103,7 +103,7 @@ def main(argv=None):
     try:
         for report in run_suite(suites, settings):
             counts[report["status"]] += 1
-            stream.write(json.dumps(report) + "\n")
+            stream.write(json.dumps(report, allow_nan=False) + "\n")
             stream.flush()
         summary = {
             "summary": True,
@@ -112,7 +112,7 @@ def main(argv=None):
             "checks": sum(counts.values()),
             **counts,
         }
-        stream.write(json.dumps(summary) + "\n")
+        stream.write(json.dumps(summary, allow_nan=False) + "\n")
     finally:
         if args.out:
             stream.close()

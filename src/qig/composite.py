@@ -16,16 +16,14 @@ def compose_phase_reps(s1, s2):
     """Composite phase representation: p''_l = p_i p'_j, phi''_l = phi_i + phi'_j.
 
     Entries with zero probability, underflowed products included, get an
-    absent (NaN) phase.  Both factors must share the a, b convention.
+    absent (NaN) phase.
     """
-    if (s1.a, s1.b) != (s2.a, s2.b):
-        raise ValueError("factors use different phase conventions")
     p = np.multiply.outer(s1.p, s2.p).ravel()
     p /= p.sum()
     phi = np.add.outer(s1.phi, s2.phi).ravel()
     if np.count_nonzero(p) < p.size:  # a product of nonzero probabilities can underflow
         phi[p == 0] = np.nan
-    return PhaseRep(p=p, phi=phi, a=s1.a, b=s1.b)
+    return PhaseRep(p=p, phi=phi)
 
 
 def tensor(v1, v2):
@@ -44,28 +42,20 @@ def subsystem_observable(obs, n_other, position="first"):
     factor.
     """
     eye = np.eye(n_other, dtype=complex)
-    rows = []
-    values = []
     if position == "first":
-        for vi, ai in zip(obs.basis.vectors, obs.values):
-            for ej in eye:
-                rows.append(np.kron(vi, ej))
-                values.append(ai)
+        rows, values = np.kron(obs.basis.vectors, eye), np.repeat(obs.values, n_other)
     elif position == "second":
-        for ej in eye:
-            for vi, ai in zip(obs.basis.vectors, obs.values):
-                rows.append(np.kron(ej, vi))
-                values.append(ai)
+        rows, values = np.kron(eye, obs.basis.vectors), np.tile(obs.values, n_other)
     else:
         raise ValueError("position must be 'first' or 'second'")
-    return Observable(basis=MeasurementBasis(np.array(rows)), values=np.array(values))
+    return Observable(basis=MeasurementBasis(rows), values=values)
 
 
 def energy_additivity_check(s1, s2, e1, e2, dt, alpha):
     """Max phase discrepancy between evolve-then-compose and compose-then-evolve.
 
     Each subsystem of definite energy evolves by phi_i -> phi_i -
-    a E dt / alpha; the composite must evolve identically with energy
+    E dt / alpha; the composite must evolve identically with energy
     e1 + e2.  Returns the maximum discrepancy mod 2pi over composite
     entries (0 for full-support states, by additivity of phase shifts).
     """

@@ -17,11 +17,10 @@ from .qspace import PhaseRep
 
 
 def evolve_stationary(rep, energy, dt, alpha):
-    """Shift every present phase by -a * energy * dt / alpha (probabilities fixed)."""
+    """Shift every present phase by -energy * dt / alpha (probabilities fixed)."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    shift = rep.a * energy * dt / alpha
-    return PhaseRep(p=rep.p, phi=rep.phi - shift, a=rep.a, b=rep.b)
+    return PhaseRep(p=rep.p, phi=rep.phi - energy * dt / alpha)
 
 
 @dataclass(frozen=True)
@@ -108,23 +107,21 @@ def hj_residual(state_fn, t, dt):
     return float(np.max(np.abs(continuity))), float(np.max(np.abs(hj)))
 
 
-def phase_rep_from_hj(state, alpha, a=1.0, b=0.0):
-    """Map (p_i; S_i) to the phase representation via chi_i = S_i / alpha."""
+def phase_rep_from_hj(state, alpha):
+    """Map (p_i; S_i) to the phase representation via phi_i = chi_i = S_i / alpha."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    phi = np.where(state.P > 0, a * (state.S / alpha) + b, np.nan)
-    return PhaseRep(p=state.P, phi=phi, a=a, b=b)
+    return PhaseRep(p=state.P, phi=np.where(state.P > 0, state.S / alpha, np.nan))
 
 
-def free_particle_state(momentum, m, h, x0, n, t, weights=None):
-    """Plane-wave Hamilton-Jacobi family: S = p x - p^2 t / (2m), V = 0.
+def free_particle_state(momentum, m, h, x0, n, t):
+    """Plane-wave Hamilton-Jacobi family: S = p x - p^2 t / (2m), V = 0, uniform P.
 
-    ``weights`` gives the (unnormalized) site probabilities; uniform by
-    default.  This family satisfies the discretized equations exactly,
-    since S is linear in x and t and P is time-independent.
+    This family satisfies the discretized equations exactly, since S is
+    linear in x and t and P is time-independent.
     """
     x = x0 + h * np.arange(n)
-    P = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
+    P = np.full(n, 1.0 / n)
     P = P / P.sum()
     S = momentum * x - momentum**2 * t / (2.0 * m)
     return HJGridState(h=h, x0=x0, P=P, S=S, m=m)

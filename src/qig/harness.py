@@ -60,8 +60,8 @@ class Settings:
     """Master seed, dimensions, and overrides keyed by suite name.
 
     ``trials`` and ``tolerances`` map a suite to the value that replaces
-    the default of every check in it declaring that knob; any other key
-    raises ValueError.
+    the default of every check in it declaring that knob; any other key,
+    and a trial count below 1, raises ValueError.
     """
 
     seed: int = 12345
@@ -76,6 +76,9 @@ class Settings:
             if unknown:
                 raise ValueError(f"unknown {knob} key(s) {', '.join(unknown)}; "
                                  f"valid keys: {', '.join(valid)}")
+        few = sorted(suite for suite, count in self.trials.items() if not int(count) >= 1)
+        if few:  # a check that ran nothing shows nothing
+            raise ValueError(f"trial count below 1 for {', '.join(few)}")
 
     def rng(self, check_name):
         return np.random.default_rng(check_seed(self.seed, check_name))
@@ -95,8 +98,8 @@ def run_check(suite, entry, settings):
     ``residual > bound`` for ``above``; NaN never is) and its details carry
     no ``first_failure``.  The report's ``tolerance`` is the bound applied;
     ``margin`` is residual / bound for an upper bound and bound / residual
-    for a lower one, so it is below 1 iff the bound is met; it is null where
-    the quotient is undefined (0 / 0 or NaN).
+    for a lower one, so it is below 1 iff the bound is met.  After the verdict,
+    each value that is not a finite number is reported as null (strict JSON).
     """
     name, fn, default_trials, tol, below, above = entry
     bound = next(b for b in (tol, below, above) if b is not None)
@@ -113,15 +116,24 @@ def run_check(suite, entry, settings):
         status = "pass" if met and "first_failure" not in details else "fail"
         num, den = (bound, residual) if above is not None else (residual, bound)
         with np.errstate(divide="ignore", invalid="ignore"):
-            margin = float(np.divide(num, den))  # x / 0 is inf for x > 0
-        margin = None if np.isnan(margin) else margin
+            margin = float(np.divide(num, den))
     except Exception as exc:  # noqa: BLE001 - harness must report, not crash
         status, residual, margin, trials = "error", None, None, 0
         details = {"exception": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    return {"check": name, "status": status, "max_residual": residual, "tolerance": bound,
-            "margin": margin, "trials": trials, "seed": int(settings.seed),
-            "elapsed": round(elapsed, 6), "details": details, "suite": suite}
+    return _finite({"check": name, "status": status, "max_residual": residual,
+                    "tolerance": bound, "margin": margin, "trials": trials,
+                    "seed": int(settings.seed), "elapsed": round(elapsed, 6),
+                    "details": details, "suite": suite})
+
+
+def _finite(value):
+    """``value`` with each float that is not finite, in any dict or list in it, made None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def run_suite(names, settings):
@@ -272,8 +284,8 @@ def check_measure_invariant_density(settings, trials):
         # avoid the zeros of sin*cos where the density is singular
         half = np.linspace(eps, period / 2 - eps, trials // 2)
         grid = np.concatenate([half, half + period / 2]) - b / a + period
-        dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
-        devs += [np.max(np.abs(dens - 2.0 * abs(a))), (dens.max() - dens.min()) / dens.max()]
+        dens = measure.induced_measure_density(ff, grid)
+        devs += [np.max(np.abs(dens - 2.0 * abs(a))), measure.density_variation(ff, grid)]
     return np.max(devs), trials, {}
 
 
@@ -290,8 +302,7 @@ def check_measure_counterexamples(settings, trials):
     for name, ff in (("quadratic", quad), ("logistic", logi)):
         lo, hi = ff.domain
         grid = np.linspace(lo + 1e-3, hi - 1e-3, trials)
-        dens = np.array([measure.induced_measure_density(ff, x) for x in grid])
-        variations[name] = float((dens.max() - dens.min()) / dens.max())
+        variations[name] = float(measure.density_variation(ff, grid))
     return np.min(list(variations.values())), trials, {"density_variation": variations}
 
 
@@ -650,8 +661,7 @@ def check_haar_metric_invariance(settings, trials):
     for kind in ("unitary", "antiunitary"):
         for k in range(trials):
             g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
-            devs.append(sampling.metric_invariance_check(
-                g, pairs, seed=int(rng.integers(2**63))))
+            devs.append(sampling.metric_invariance_check(g, pairs, rng))
     return np.max(devs, initial=0.0), pairs * len(devs), {"pairs_per_map": pairs}
 
 
@@ -667,8 +677,7 @@ def check_haar_uniformity(settings):
     results, adjusted = {}, []
     for kind in ("unitary", "antiunitary"):
         g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
-        rep = sampling.measure_invariance_check(
-            g, samples, bins=50, seed=int(rng.integers(2**63)))
+        rep = sampling.measure_invariance_check(g, samples, bins=50, rng=rng)
         results[kind] = min(rep["p_values"].values())
         adjusted.append(rep["adjusted_p"])
     return np.min(adjusted), samples, {"min_p_values": results}
@@ -684,8 +693,7 @@ def check_haar_negative_control(settings):
     def squarer(states):
         return states**2
 
-    rep = sampling.pushforward_uniformity(
-        squarer, n, samples, bins=50, seed=int(rng.integers(2**63)))
+    rep = sampling.pushforward_uniformity(squarer, n, samples, bins=50, rng=rng)
     return rep["adjusted_p"], samples, {"min_p_value": float(min(rep["p_values"].values()))}
 
 

@@ -5,14 +5,17 @@ sqrt(p) ftilde(chi)) with f^2 + ftilde^2 = 1, the metric over states
 induces a measure over chi proportional to F'(chi) / sqrt(F(1-F)) with
 F = f^2.  Requiring that measure to be translation invariant in chi
 forces F' / sqrt(F(1-F)) = 2a, whose solutions are F = cos^2(a chi + b).
-This module evaluates the induced density, tests translation invariance
-on a grid, and integrates the ODE numerically (with branch switching at
+This module evaluates the induced density and its relative variation on
+a grid, and integrates the ODE numerically (with branch switching at
 the F in {0,1} turning points) to compare against the closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+BOUNDARY_TOL = 1e-10
 
 
 class SingularDensityError(ValueError):
@@ -33,51 +36,50 @@ class EmbeddingFunction:
             raise ValueError("domain must be a nondegenerate interval")
 
 
-def cos_squared_family(a=1.0, b=0.0, domain=None):
-    """The translation-invariant family F(chi) = cos^2(a chi + b)."""
+def cos_squared_family(a=1.0, b=0.0):
+    """The translation-invariant family F(chi) = cos^2(a chi + b) over one period."""
     if a == 0:
         raise ValueError("a must be nonzero (f must not be constant)")
-    if domain is None:
-        domain = (0.0, 2.0 * np.pi / abs(a))
     return EmbeddingFunction(
         F=lambda x: np.cos(a * x + b) ** 2,
         dF=lambda x: -2.0 * a * np.cos(a * x + b) * np.sin(a * x + b),
-        domain=domain,
+        domain=(0.0, 2.0 * np.pi / abs(a)),
     )
 
 
 def induced_measure_density(ff, chi):
-    """|F'(chi)| / sqrt(F(chi)(1 - F(chi))), the induced density up to a constant.
+    """|F'(chi)| / sqrt(F(chi)(1 - F(chi))) at a point or array ``chi``, up to a constant.
 
     The overall constant is arbitrary and dropped; the absolute value is
     reported since a measure density carries no sign.
     """
-    F = ff.F(chi)
-    if not 0.0 < F < 1.0:
-        raise SingularDensityError(f"F({chi}) = {F} is at the boundary of [0, 1]")
-    return abs(ff.dF(chi)) / np.sqrt(F * (1.0 - F))
+    x, F = np.broadcast_arrays(chi, ff.F(chi))  # arrays, so ``~`` negates even a bool
+    bad = ~((0.0 < F) & (F < 1.0))  # also true for NaN
+    if bad.any():
+        raise SingularDensityError(f"F({x[bad][0]}) = {F[bad][0]} is at the boundary of [0, 1]")
+    return np.abs(ff.dF(chi)) / np.sqrt(F * (1.0 - F))
 
 
-def is_translation_invariant(ff, grid, tol):
-    """True iff the induced density varies by less than ``tol`` (relative) on ``grid``.
+def density_variation(ff, grid):
+    """Relative variation (max - min) / max of the induced density on ``grid``.
 
-    Comparison is by ratio: (max - min) / max < tol, so the arbitrary
-    normalization constant drops out.  A grid point where the density is
-    singular raises; an identically-zero derivative (constant F) is
+    The ratio drops the arbitrary normalization constant; it is 0 exactly
+    for a translation-invariant density.  A grid point where the density
+    is singular raises; an identically-zero derivative (constant F) is
     rejected outright since f must not be constant.
     """
-    dens = np.array([induced_measure_density(ff, x) for x in grid])
+    dens = induced_measure_density(ff, np.asarray(grid, dtype=float))
     if np.max(dens) == 0.0:
         raise ValueError("F is constant on the grid; f must not be constant")
-    return (np.max(dens) - np.min(dens)) / np.max(dens) < tol
+    return (np.max(dens) - np.min(dens)) / np.max(dens)
 
 
-def solve_F_ode(a, F0, chi0, grid, step=1e-4, boundary_tol=1e-10, rising=None):
+def solve_F_ode(a, F0, chi0, grid, step=1e-4, rising=None):
     """Integrate dF/dchi = s * 2a sqrt(F(1-F)) along ``grid`` from (chi0, F0).
 
     ``grid`` must be ascending with grid[0] >= chi0.  The sign branch
     ``s`` starts at +1 (or as given by ``rising``) and is switched
-    whenever F reaches 0 or 1 within ``boundary_tol``.  The square-root
+    whenever F reaches 0 or 1 within ``BOUNDARY_TOL``.  The square-root
     right-hand side is not Lipschitz at the turning points, so close to
     a boundary the integrator crosses analytically: with u the distance
     to the boundary, the ODE linearizes to d(sqrt u)/dchi = -/+ a, which
@@ -95,8 +97,7 @@ def solve_F_ode(a, F0, chi0, grid, step=1e-4, boundary_tol=1e-10, rising=None):
         # integrate backwards by reflecting: chi -> 2 chi0 - chi flips
         # the sign branch but leaves the trajectory otherwise unchanged
         flipped = None if rising is None else not rising
-        return solve_F_ode(a, F0, chi0, 2.0 * chi0 - grid, step=step,
-                           boundary_tol=boundary_tol, rising=flipped)
+        return solve_F_ode(a, F0, chi0, 2.0 * chi0 - grid, step=step, rising=flipped)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly monotone")
     if grid[0] < chi0 - 1e-15:
@@ -107,12 +108,12 @@ def solve_F_ode(a, F0, chi0, grid, step=1e-4, boundary_tol=1e-10, rising=None):
         raise ValueError("step must be positive")
 
     aa = abs(a)
-    # analytic-crossing trigger; well above boundary_tol so RK4 never
+    # analytic-crossing trigger; well above BOUNDARY_TOL so RK4 never
     # operates where the sqrt derivative blows up
-    switch = max(boundary_tol, (10.0 * aa * step) ** 2)
+    switch = max(BOUNDARY_TOL, (10.0 * aa * step) ** 2)
 
     def rhs(F, s):
-        return s * 2.0 * aa * np.sqrt(max(F * (1.0 - F), 0.0))
+        return s * 2.0 * aa * math.sqrt(max(F * (1.0 - F), 0.0))
 
     s = 1.0 if rising is None else (1.0 if rising else -1.0)
     if rising is None:
@@ -127,9 +128,9 @@ def solve_F_ode(a, F0, chi0, grid, step=1e-4, boundary_tol=1e-10, rising=None):
     # turning-point bookkeeping: when set, F follows the local quadratic
     # u = a^2 (chi - chi_star)^2 off the boundary at ``level``
     chi_star, level = None, None
-    if F0 >= 1.0 - boundary_tol:
+    if F0 >= 1.0 - BOUNDARY_TOL:
         chi_star, level, s = chi, 1.0, -1.0
-    elif F0 <= boundary_tol:
+    elif F0 <= BOUNDARY_TOL:
         chi_star, level, s = chi, 0.0, 1.0
 
     for k, target in enumerate(grid):

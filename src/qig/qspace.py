@@ -15,32 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import as_prob_vec
+from .simplex import NORM_TOL, as_prob_vec
 
-NORM_TOL = 1e-12
 POLARITY_TOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
 
-def as_qvector(q, tol=NORM_TOL):
+def as_qvector(q):
     """Validate a 2N-real state vector: even length, unit norm, entries in [-1, 1]."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size % 2 != 0 or q.size == 0:
         raise ValueError("state vector must be 1-D with even, positive length")
-    if not abs(np.sum(q * q) - 1.0) <= tol:  # also fails on NaN
+    if not abs(np.sum(q * q) - 1.0) <= NORM_TOL:  # also fails on NaN
         raise ValueError(f"state vector has squared norm {np.sum(q * q)!r}, not 1")
     return q
 
 
-def as_pure_state(v, tol=NORM_TOL, stacked=False):
+def as_pure_state(v, stacked=False):
     """Validate an N-complex unit vector, or with ``stacked`` a stack (..., N) of them."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0 or v.shape[-1] == 0 or (v.ndim > 1 and not stacked):
         raise ValueError("state must be a nonempty 1-D complex vector")
     sq = np.add.reduce(np.abs(v) ** 2, axis=-1)
     dev = abs(sq - 1.0)
-    if not (dev if dev.ndim == 0 else dev.max(initial=0.0)) <= tol:  # also fails on NaN
+    if not (dev if dev.ndim == 0 else dev.max(initial=0.0)) <= NORM_TOL:  # also fails on NaN
         raise ValueError(f"state has squared norm {np.ravel(sq)[np.argmax(dev)]!r}, not 1")
     return v
 
@@ -53,23 +52,17 @@ class PhaseRep:
     read-only float array, NaN exactly where ``p`` is zero --
     the phase is undefined there, not merely unknown.  ``None`` entries
     on input are read as NaN.  Present phases must be finite and are
-    stored reduced to [0, 2pi).  ``a`` and ``b`` record the affine map
-    phi = a*chi + b to the underlying dimensionless degree of freedom;
-    their values are conventional here (a=1, b=0 by default).
+    stored reduced to [0, 2pi), in the convention phi = a chi + b with a = 1, b = 0.
     """
 
     p: np.ndarray
     phi: np.ndarray
-    a: float = 1.0
-    b: float = 0.0
 
     def __post_init__(self):
         p = as_prob_vec(np.array(self.p, dtype=float))  # a copy: the caller keeps theirs
         phi = np.asarray(self.phi, dtype=float)
         if phi.shape != p.shape:
             raise ValueError("p and phi must have the same length")
-        if self.a == 0:
-            raise ValueError("a must be nonzero")
         live = p.astype(bool)  # p > 0, since p >= 0
         if np.count_nonzero((np.isnan(phi) == live) | np.isinf(phi)):
             raise ValueError("phases must be finite where p > 0 and NaN where p == 0")
@@ -83,10 +76,6 @@ class PhaseRep:
     def dim(self):
         return self.p.size
 
-    def chi(self):
-        """Recover the underlying chi_i = (phi_i - b) / a (NaN where absent)."""
-        return (self.phi - self.b) / self.a
-
 
 def from_phase_rep(rep):
     """Build the 2N-real state vector from a phase representation."""
@@ -98,7 +87,7 @@ def from_phase_rep(rep):
     return q
 
 
-def to_phase_rep(q, a=1.0, b=0.0):
+def to_phase_rep(q):
     """Read off result probabilities and phases from a 2N-real state vector.
 
     Inverse of :func:`from_phase_rep` up to reduction of phases mod 2pi.
@@ -109,7 +98,7 @@ def to_phase_rep(q, a=1.0, b=0.0):
     phi = np.where(p > 0, np.arctan2(pairs[:, 1], pairs[:, 0]), np.nan)
     # guard against rounding pushing the sum off 1
     p = p / p.sum()
-    return PhaseRep(p=p, phi=phi, a=a, b=b)
+    return PhaseRep(p=p, phi=phi)
 
 
 def outcome_probs(q):
@@ -125,10 +114,10 @@ def result_probs(q):
     return P.reshape(-1, 2).sum(axis=1)
 
 
-def polarities(q, tol=POLARITY_TOL):
-    """Signs of the Q_q, as a tuple of +1/-1 with None where |Q_q| <= tol."""
+def polarities(q):
+    """Signs of the Q_q, as a tuple of +1/-1 with None where |Q_q| <= ``POLARITY_TOL``."""
     q = as_qvector(q)
-    return tuple(None if abs(x) <= tol else int(np.sign(x)) for x in q)
+    return tuple(None if abs(x) <= POLARITY_TOL else int(np.sign(x)) for x in q)
 
 
 def gauge_shift(v, phi0):

@@ -18,6 +18,7 @@ from .transforms import apply
 
 # family-wise false-alarm rate of the Bonferroni uniformity verdict
 SIGNIFICANCE = 0.001
+DISPLACEMENT = 1e-4  # |dv| within a metric_invariance_check pair
 
 
 def sample_uniform(n, count, rng):
@@ -55,11 +56,12 @@ def haar_from_ginibre(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def metric_invariance_check(g, pairs, seed, displacement=1e-4):
+def metric_invariance_check(g, pairs, rng):
     """Max relative change of |dv|^2 between nearby states under ``g``.
 
-    Samples ``pairs`` pairs (v, v + dv renormalized) and compares the
-    squared chord length before and after applying the map.  For an
+    Samples ``pairs`` pairs (v, v + dv renormalized, |dv| = ``DISPLACEMENT``)
+    from the generator ``rng`` and compares the squared chord length
+    before and after applying the map.  For an
     antiunitary map both endpoints are conjugated, so the displacement
     is the pushforward of the pair, not an independently conjugated
     tangent vector.
@@ -67,11 +69,10 @@ def metric_invariance_check(g, pairs, seed, displacement=1e-4):
     if not g.is_gauge_invariant:
         raise ValueError("map must be unitary or antiunitary")
     n = g.v.shape[0]
-    rng = np.random.default_rng(seed)
     v = sample_uniform(n, pairs, rng)
     x = rng.normal(size=(pairs, 2, n))  # per pair: Re dv, then Im dv
     dv = x[:, 0] + 1j * x[:, 1]
-    w = v + displacement * dv / np.linalg.norm(dv, axis=1, keepdims=True)
+    w = v + DISPLACEMENT * dv / np.linalg.norm(dv, axis=1, keepdims=True)
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
     before = np.sum(np.abs(w - v) ** 2, axis=1)
     after = np.sum(np.abs(apply(g, w) - apply(g, v)) ** 2, axis=1)
@@ -106,32 +107,30 @@ def _chi2_uniform(u, bins):
     return float(stats.chi2.sf(stat, df=bins - 1))
 
 
-def measure_invariance_check(g, samples, bins, seed):
+def measure_invariance_check(g, samples, bins, rng):
     """Test that the gauge map ``g`` pushes the uniform measure to itself.
 
     See :func:`pushforward_uniformity` for the test and its result.
     """
     if not g.is_gauge_invariant:
         raise ValueError("map must be unitary or antiunitary")
-    return pushforward_uniformity(lambda s: apply(g, s), g.v.shape[0], samples, bins, seed)
+    return pushforward_uniformity(lambda s: apply(g, s), g.v.shape[0], samples, bins, rng)
 
 
-def pushforward_uniformity(transform, n, samples, bins, seed):
-    """Test that the pushforward of the uniform measure stays uniform.
+def pushforward_uniformity(transform, n, samples, bins, rng):
+    """Chi-squared p-values of the pushforward of the uniform measure.
 
-    Pushes ``samples`` uniform states of dimension ``n``, drawn from
-    ``seed``, through ``transform`` (which maps an array of row states
-    to row states; any callable, so negative controls call this
+    Pushes ``samples`` uniform states of dimension ``n``, drawn from the
+    generator ``rng``, through ``transform`` (which maps an array of row
+    states to row states; any callable, so negative controls call this
     directly), renormalizes, and chi-squared-tests the uniformity
-    statistics.  Returns a dict with the per-statistic p-values, their
-    Bonferroni-adjusted minimum ``adjusted_p`` (1 if there are none) and
-    the verdict ``adjusted_p > SIGNIFICANCE``.
+    statistics.  Returns a dict with the per-statistic ``p_values`` and
+    their Bonferroni-adjusted minimum ``adjusted_p`` (1 if there are none).
+    For a uniform pushforward, ``adjusted_p <= SIGNIFICANCE`` has probability
+    at most ``SIGNIFICANCE``.
     """
-    states = sample_uniform(n, samples, np.random.default_rng(seed))
-    pushed = transform(states)
+    pushed = transform(sample_uniform(n, samples, rng))
     pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
     pvals = _uniformity_pvalues(pushed, bins)
-    threshold = SIGNIFICANCE / max(len(pvals), 1)
     adjusted = float(np.min([len(pvals) * p for p in pvals.values()], initial=1.0))
-    return {"p_values": pvals, "adjusted_p": adjusted, "passed": adjusted > SIGNIFICANCE,
-            "significance": SIGNIFICANCE, "threshold": threshold}
+    return {"p_values": pvals, "adjusted_p": adjusted}

@@ -17,10 +17,10 @@ class SupportMismatchError(ValueError):
     the other hypothesis can produce (infinite evidence)."""
 
 
-def as_prob_vec(p, tol=NORM_TOL):
+def as_prob_vec(p):
     """Validate and return ``p`` as a probability vector.
 
-    Entries must be nonnegative and sum to 1 within ``tol``.
+    Entries must be nonnegative and sum to 1 within ``NORM_TOL``.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -28,7 +28,7 @@ def as_prob_vec(p, tol=NORM_TOL):
     # comparisons written to fail on NaN
     if not p.min() >= 0:
         raise ValueError("probability entries must be nonnegative")
-    if not abs(p.sum() - 1.0) <= tol:
+    if not abs(p.sum() - 1.0) <= NORM_TOL:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 
@@ -44,12 +44,12 @@ def renormalized(p):
     return p / s
 
 
-def as_tangent_vec(dp, tol=NORM_TOL):
-    """Validate a simplex displacement: entries must sum to 0 within ``tol``."""
+def as_tangent_vec(dp):
+    """Validate a simplex displacement: entries must sum to 0 within ``NORM_TOL``."""
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1:
         raise ValueError("tangent vector must be 1-D")
-    if not abs(dp.sum()) <= tol:
+    if not abs(dp.sum()) <= NORM_TOL:
         raise ValueError(f"displacement entries sum to {dp.sum()!r}, not 0")
     return dp
 

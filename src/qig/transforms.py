@@ -26,10 +26,10 @@ REJECTED = "not_gauge_invariant"
 KINDS = np.array([REJECTED, "unitary", "antiunitary"])
 
 
-def as_orthogonal(m, tol=ORTHO_TOL, stacked=False):
-    """Validate real m, a stack (..., 2N, 2N) if ``stacked``, with m.T m = I within ``tol``."""
+def as_orthogonal(m, stacked=False):
+    """Validate real m, or a stack (..., 2N, 2N) if ``stacked``: m.T m = I within ORTHO_TOL."""
     m = _as_block_matrix(m, stacked)
-    _check_residual(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1]), tol, "orthogonal")
+    _check_residual(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1]), "orthogonal")
     return m
 
 
@@ -43,10 +43,10 @@ def _as_block_matrix(m, stacked=False):
     return m
 
 
-def _check_residual(d, tol, kind):
-    """Raise unless every matrix of the stack ``d`` has Frobenius norm <= ``tol``."""
+def _check_residual(d, kind):
+    """Raise unless every matrix of the stack ``d`` has Frobenius norm <= ``ORTHO_TOL``."""
     sq = np.add.reduce(np.abs(d) ** 2, axis=(-2, -1))
-    if not (sq if sq.ndim == 0 else sq.max(initial=0.0)) <= tol * tol:  # also fails on NaN
+    if not (sq if sq.ndim == 0 else sq.max(initial=0.0)) <= ORTHO_TOL**2:  # also fails on NaN
         resid = np.sqrt(np.ravel(sq)[np.argmax(sq)])
         raise ValueError(f"matrix is not {kind}: residual {resid:g}")
 
@@ -70,22 +70,22 @@ class GaugeMap:
         return self.kind in ("unitary", "antiunitary")
 
 
-def block_decomposition(m, tol=BLOCK_TOL):
+def block_decomposition(m):
     """Per-block (alpha, phi, sigma) arrays of a 2N x 2N matrix.
 
     alpha >= 0 is the block scale, phi in [0, 2pi) its angle (zero for a
     zero block), sigma +1/-1 the block kind with 0 marking a zero block
     (sigma unconstrained there).  Raises ValueError naming the first
-    block that is not a scaled (reflection-)rotation within ``tol``.
+    block that is not a scaled (reflection-)rotation within ``BLOCK_TOL``.
     """
     m = _as_block_matrix(m)
-    alpha, phi, sigma, fault = decompose_blocks(m, tol)
+    alpha, phi, sigma, fault = decompose_blocks(m)
     if fault.any():
         raise ValueError(_fault_message(m, fault))
     return alpha, phi, sigma
 
 
-def decompose_blocks(m, tol=BLOCK_TOL):
+def decompose_blocks(m):
     """Batch kernel of :func:`block_decomposition` for a stack (..., 2N, 2N).
 
     Returns alpha, phi, sigma and ``fault``, each (..., N, N); ``fault`` is 1 where a
@@ -94,8 +94,8 @@ def decompose_blocks(m, tol=BLOCK_TOL):
     b00, b01, b10, b11 = (m[..., r::2, c::2] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
     a, b, g = b00**2 + b10**2, b01**2 + b11**2, b00 * b01 + b10 * b11
     scale = np.sqrt(0.5 * (a + b))
-    live = ~(scale <= tol)  # NaN blocks stay live
-    fault = np.where(np.abs(a - b) > tol, 1, np.where(np.abs(g) > tol, 2, 0)) * live
+    live = ~(scale <= BLOCK_TOL)  # NaN blocks stay live
+    fault = np.where(np.abs(a - b) > BLOCK_TOL, 1, np.where(np.abs(g) > BLOCK_TOL, 2, 0)) * live
     sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live
     phi = np.where(live, np.arctan2(b10, b00) % TWO_PI, 0.0)
     return np.where(live, scale, 0.0), phi, sigma, fault
@@ -111,7 +111,7 @@ def _fault_message(m, fault):
     return f"block ({k}, {i}): columns not orthogonal (gamma={b00 * b01 + b10 * b11:g})"
 
 
-def classify(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
+def classify(m):
     """Decide whether an orthogonal matrix respects global gauge invariance.
 
     Returns a unitary or antiunitary :class:`GaugeMap` when it does, or
@@ -119,24 +119,22 @@ def classify(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
     """
     if np.ndim(m) > 2:
         raise ValueError("matrix must be square")
-    kind, v, sigma, fault = classify_batch(m, tol, ortho_tol)
+    kind, v, _, fault = classify_batch(m)
     if kind != REJECTED:
         return GaugeMap(kind=str(kind), v=v)
     if fault.any():
         return GaugeMap(kind=REJECTED, diagnostic=_fault_message(np.asarray(m, float), fault))
-    if not sigma.any():
-        return GaugeMap(kind=REJECTED, diagnostic="zero matrix")
     return GaugeMap(kind=REJECTED,
                     diagnostic="mixed block kinds: rotation and reflection blocks coexist")
 
 
-def classify_batch(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
+def classify_batch(m):
     """:func:`classify` for a stack (..., 2N, 2N) of matrices, validated once.
 
     Returns the kind names (...), the matrices ``v`` (..., N, N), zero where
     rejected, and the blocks' sigma and fault codes from :func:`decompose_blocks`.
     """
-    alpha, phi, sigma, fault = decompose_blocks(as_orthogonal(m, ortho_tol, stacked=True), tol)
+    alpha, phi, sigma, fault = decompose_blocks(as_orthogonal(m, stacked=True))
     rotation = (sigma > 0).any(axis=(-2, -1))
     reflection = (sigma < 0).any(axis=(-2, -1))
     ok = (rotation != reflection) & ~fault.any(axis=(-2, -1))
@@ -144,14 +142,14 @@ def classify_batch(m, tol=BLOCK_TOL, ortho_tol=ORTHO_TOL):
     return KINDS[ok * (1 + reflection)], v, sigma, fault
 
 
-def realify_unitary(v, tol=ORTHO_TOL):
+def realify_unitary(v):
     """Orthogonal 2N x 2N realization of a unitary (or a stack): blocks alpha R(phi)."""
-    return _realify_blocks(_as_unitary(v, tol), 1.0)
+    return _realify_blocks(_as_unitary(v), 1.0)
 
 
-def realify_antiunitary(v, tol=ORTHO_TOL):
+def realify_antiunitary(v):
     """Orthogonal realization of v -> V conj(v) (or a stack): blocks alpha R(phi) F."""
-    return _realify_blocks(_as_unitary(v, tol), -1.0)
+    return _realify_blocks(_as_unitary(v), -1.0)
 
 
 def _realify_blocks(v, sign):
@@ -174,12 +172,12 @@ def realify(g):
     raise ValueError("cannot realify a non-gauge-invariant verdict")
 
 
-def _as_unitary(v, tol=ORTHO_TOL):
+def _as_unitary(v):
     """Validate a unitary matrix, or a stack (..., N, N) of them."""
     v = np.asarray(v, dtype=complex)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError("matrix must be square")
-    _check_residual(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1]), tol, "unitary")
+    _check_residual(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1]), "unitary")
     return v
 
 
@@ -202,19 +200,18 @@ def compose(g1, g2):
     return GaugeMap(kind=kind, v=g1.v @ v2)
 
 
-def gauge_invariance_witness(m, trials=20, tol=WITNESS_TOL, rng=None):
+def gauge_invariance_witness(m, trials=20, *, rng):
     """Direct numerical test of the gauge-invariance property of ``m``.
 
-    Samples random states and global phase shifts, and compares the
-    result probabilities of M Q(phi) with those of M Q(phi + phi0).
-    Returns (passed, max_deviation).  Independent of :func:`classify`:
-    no block structure is consulted.
+    Samples random states and global phase shifts from the generator
+    ``rng``, and compares the result probabilities of M Q(phi) with those
+    of M Q(phi + phi0).  Returns (max_deviation < ``WITNESS_TOL``,
+    max_deviation).  Independent of :func:`classify`: no block structure
+    is consulted.
     """
     m = as_orthogonal(m)
-    if rng is None:
-        rng = np.random.default_rng()
     worst = float(witness_deviation(m, *witness_draws(m.shape[0] // 2, trials, rng)))
-    return worst < tol, worst
+    return worst < WITNESS_TOL, worst
 
 
 def witness_draws(n, trials, rng):

@@ -75,6 +75,18 @@ def test_unknown_suite_rejected(capsys):
         assert "valid keys: born, classify, compose" in capsys.readouterr().err
 
 
+def test_trial_count_below_one_rejected(tmp_path, capsys):
+    # a check that runs no trials shows nothing, so it must not report a pass
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"trials": {"metric": 0}}))
+    for argv in (["metric", "--trials", "0"], ["haar", "--trials", "-3"],
+                 ["metric", "--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "trial count below 1" in capsys.readouterr().err
+
+
 def test_tolerance_override_can_force_failure(capsys):
     code, out = run_cli(["born", "--tol", "born=1e-30", "--trials", "20"],
                         capsys)

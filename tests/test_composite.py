@@ -137,10 +137,3 @@ def test_energy_additivity():
             rng.normal(scale=3), rng.normal(scale=3), rng.uniform(0, 2),
             alpha=1.0)
         assert resid < 1e-12
-
-
-def test_compose_rejects_convention_mismatch():
-    s1 = qspace.PhaseRep(p=[1.0], phi=(0.0,), a=1.0)
-    s2 = qspace.PhaseRep(p=[1.0], phi=(0.0,), a=2.0)
-    with pytest.raises(ValueError):
-        composite.compose_phase_reps(s1, s2)

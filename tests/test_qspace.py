@@ -165,9 +165,3 @@ def test_euclidean_metric_pullback():
         ds2 = 0.25 * np.sum((qp**2 - qm**2) ** 2 / q**2)
         assert abs(ds2 - dq2) / dq2 < 1e-8
 
-
-def test_chi_recovery():
-    rep = qspace.PhaseRep(p=[0.5, 0.5], phi=(1.0, 2.0), a=2.0, b=0.5)
-    chi = rep.chi()
-    assert chi[0] == pytest.approx(0.25)
-    assert chi[1] == pytest.approx(0.75)

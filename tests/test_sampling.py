@@ -54,14 +54,14 @@ def test_metric_invariance_of_gauge_maps():
     rng = np.random.default_rng(2)
     for kind in ("unitary", "antiunitary"):
         g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(3, rng))
-        worst = sampling.metric_invariance_check(g, pairs=200, seed=5)
+        worst = sampling.metric_invariance_check(g, pairs=200, rng=np.random.default_rng(5))
         assert worst < 1e-10
 
 
 def test_metric_invariance_rejects_invalid_map():
     bad = transforms.GaugeMap(kind="not_gauge_invariant", diagnostic="x")
     with pytest.raises(ValueError):
-        sampling.metric_invariance_check(bad, 10, 0)
+        sampling.metric_invariance_check(bad, 10, np.random.default_rng(0))
 
 
 def test_measure_invariance_accepts_gauge_maps():
@@ -69,9 +69,10 @@ def test_measure_invariance_accepts_gauge_maps():
     for kind in ("unitary", "antiunitary"):
         g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(3, rng))
         result = sampling.measure_invariance_check(g, samples=20000, bins=40,
-                                                   seed=11)
-        assert result["passed"]
-        assert all(p >= result["threshold"] for p in result["p_values"].values())
+                                                   rng=np.random.default_rng(11))
+        assert result["adjusted_p"] > sampling.SIGNIFICANCE
+        threshold = sampling.SIGNIFICANCE / len(result["p_values"])
+        assert all(p >= threshold for p in result["p_values"].values())
 
 
 def test_measure_invariance_negative_control():
@@ -80,13 +81,15 @@ def test_measure_invariance_negative_control():
         return states ** 2
 
     result = sampling.pushforward_uniformity(squarer, 3, samples=20000, bins=40,
-                                             seed=13)
-    assert not result["passed"]
+                                             rng=np.random.default_rng(13))
+    assert not result["adjusted_p"] > sampling.SIGNIFICANCE
 
 
 def test_measure_invariance_deterministic():
     rng = np.random.default_rng(4)
     g = transforms.GaugeMap(kind="unitary", v=sampling.haar_unitary(2, rng))
-    r1 = sampling.measure_invariance_check(g, samples=5000, bins=25, seed=17)
-    r2 = sampling.measure_invariance_check(g, samples=5000, bins=25, seed=17)
+    r1 = sampling.measure_invariance_check(g, samples=5000, bins=25,
+                                           rng=np.random.default_rng(17))
+    r2 = sampling.measure_invariance_check(g, samples=5000, bins=25,
+                                           rng=np.random.default_rng(17))
     assert r1 == r2
