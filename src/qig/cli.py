@@ -15,8 +15,11 @@ file's ``tolerances`` and ``trials`` dicts set that knob for every check
 of the suite that declares it, and ``--trials N`` sets every declared
 trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
 A key that is not a suite declaring the knob is an error (exit status 2;
-the message lists the valid keys), and so is a trial count below 1.  The statistical checks keep fixed
-sample sizes and bounds, because their false-alarm rate depends on them.
+the message lists the valid keys), and so are a trial count below 1, a
+tolerance that is not a finite number > 0, and no dimension or one below
+2, from flags or the config file alike.  The statistical checks keep
+fixed sample sizes and bounds, because their false-alarm rate depends on
+them.
 """
 
 import argparse
@@ -30,17 +33,9 @@ CONFIG_ENV_VAR = "QIG_VERIFY_CONFIG"
 
 
 def parse_dimensions(text):
-    """Parse "3" or "2..5" into a tuple of dimensions."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo < 2 or hi < lo:
-            raise argparse.ArgumentTypeError("dimension range must be ascending, >= 2")
-        return tuple(range(lo, hi + 1))
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError("dimension must be >= 2")
-    return (n,)
+    """Parse "3" or "2..5" into a tuple of dimensions (``Settings`` checks them)."""
+    lo, dots, hi = text.partition("..")
+    return tuple(range(int(lo), int(hi if dots else lo) + 1))
 
 
 def parse_override(text):
@@ -79,7 +74,7 @@ def load_settings(args):
         with open(path) as fh:
             config = json.load(fh)
     seed = args.seed if args.seed is not None else config.get("seed", 12345)
-    dimensions = args.n or tuple(config.get("dimensions", (2, 3, 4, 5)))
+    dimensions = args.n if args.n is not None else tuple(config.get("dimensions", (2, 3, 4, 5)))
     trials = dict(config.get("trials", {}))
     if args.trials is not None:
         trials.update(dict.fromkeys(overridable("trials"), args.trials))

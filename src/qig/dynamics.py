@@ -17,10 +17,13 @@ from .qspace import PhaseRep
 
 
 def evolve_stationary(rep, energy, dt, alpha):
-    """Shift every present phase by -energy * dt / alpha (probabilities fixed)."""
+    """Shift every present phase by -energy * dt / alpha (probabilities fixed).
+
+    ``energy`` and ``dt`` may be arrays of the stack shape of ``rep``.
+    """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    return PhaseRep(p=rep.p, phi=rep.phi - energy * dt / alpha)
+    return PhaseRep(p=rep.p, phi=rep.phi - np.asarray(energy * dt / alpha)[..., None])
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,8 @@ class Settings:
 
     ``trials`` and ``tolerances`` map a suite to the value that replaces
     the default of every check in it declaring that knob; any other key,
-    and a trial count below 1, raises ValueError.
+    a trial count below 1, a tolerance that is not a finite number > 0 and
+    dimensions that are none or below 2 raise ValueError.
     """
 
     seed: int = 12345
@@ -79,6 +80,11 @@ class Settings:
         few = sorted(suite for suite, count in self.trials.items() if not int(count) >= 1)
         if few:  # a check that ran nothing shows nothing
             raise ValueError(f"trial count below 1 for {', '.join(few)}")
+        bad = sorted(suite for suite, t in self.tolerances.items() if not 0 < float(t) < np.inf)
+        if bad:
+            raise ValueError(f"tolerance not a finite number > 0 for {', '.join(bad)}")
+        if not self.dimensions or min(self.dimensions) < 2:
+            raise ValueError(f"need one or more dimensions, each >= 2; got {self.dimensions}")
 
     def rng(self, check_name):
         return np.random.default_rng(check_seed(self.seed, check_name))
@@ -151,14 +157,13 @@ def check_metric_pullback(settings, trials):
     """Information metric equals the Euclidean metric of the sqrt embedding."""
     rng = settings.rng("metric.pullback")
     devs = []
-    for _ in range(trials):
-        m = int(rng.integers(2, 7))
-        p = simplex.renormalized(rng.random(m) + 0.05)
-        dp = rng.normal(size=m)
-        dp = (dp - dp.mean()) * 1e-3
-        ds2 = simplex.info_metric_ds2(p, dp)
-        dq2 = np.sum((dp / (2.0 * np.sqrt(p))) ** 2)
-        devs.append(abs(ds2 - dq2))
+    for m, count in _groups(rng.integers(2, 7, (trials, 1))):
+        p = simplex.renormalized(rng.random((count, m)) + 0.05)
+        dp = rng.normal(size=(count, m))
+        dp = (dp - dp.mean(axis=-1, keepdims=True)) * 1e-3
+        # the embedding's derivative, 1 / (2 sqrt(p)), carries dp into the sphere
+        dq = dp / (2.0 * simplex.sqrt_embedding(p))
+        devs.append(np.max(np.abs(simplex.info_metric_ds2(p, dp) - np.sum(dq**2, axis=-1))))
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -168,21 +173,19 @@ def check_metric_qspace(settings, trials):
     rng = settings.rng("metric.qspace")
     h = 1e-5
     devs = []
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
+    for n, count in _groups(rng.integers(2, 6, (trials, 1))):
         # keep all outcome probabilities bounded away from zero
-        q = rng.uniform(0.2, 1.0, size=2 * n) * rng.choice([-1.0, 1.0], size=2 * n)
-        q /= np.linalg.norm(q)
-        d = rng.normal(size=2 * n)
-        d -= (d @ q) * q
-        d *= h / np.linalg.norm(d)
-        q_plus = (q + d) / np.linalg.norm(q + d)
-        q_minus = (q - d) / np.linalg.norm(q - d)
-        dq2 = np.sum((q_plus - q_minus) ** 2)
-        P = q * q
-        dP = q_plus**2 - q_minus**2
-        ds2 = 0.25 * np.sum(dP**2 / P)
-        devs.append(abs(ds2 - dq2) / dq2)
+        q = rng.uniform(0.2, 1.0, (count, 2 * n)) * rng.choice([-1.0, 1.0], (count, 2 * n))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        d = rng.normal(size=(count, 2 * n))
+        d -= np.sum(d * q, axis=-1, keepdims=True) * q
+        d *= h / np.linalg.norm(d, axis=-1, keepdims=True)
+        ends = q + np.array([1.0, -1.0])[:, None, None] * d  # q + d and q - d, renormalized
+        ends /= np.linalg.norm(ends, axis=-1, keepdims=True)
+        dq2 = np.sum((ends[0] - ends[1]) ** 2, axis=-1)
+        P, P_ends = qspace.outcome_probs(q), qspace.outcome_probs(ends)
+        ds2 = simplex.info_metric_ds2(P, P_ends[0] - P_ends[1])
+        devs.append(np.max(np.abs(ds2 - dq2) / dq2))
     return np.max(devs, initial=0.0), trials, {"displacement": h}
 
 
@@ -423,6 +426,13 @@ def _batches(trials):
     return [range(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
 
 
+def _groups(dims):
+    """(*row, count) per slice of at most BATCH samples that share a row of (trials, k) ``dims``."""
+    for row in np.unique(dims, axis=0):
+        for batch in _batches(np.count_nonzero((dims == row).all(axis=1))):
+            yield (*row.tolist(), len(batch))
+
+
 def _kind_failure(sample, n, expected, found):
     return {"first_failure": {"sample": int(sample), "n": int(n),
                               "expected": str(expected), "found": str(found)}}
@@ -437,16 +447,14 @@ def check_born_exact(settings, trials):
     rng = settings.rng("born.exact")
     devs = []
     for n in (2, 3, 5):
-        for _ in range(trials):
-            basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
-            v = sampling.sample_uniform(n, 1, rng)[0]
-            arr = measurement.build_simulation(
-                basis, theta=rng.uniform(0, 2 * np.pi, n),
-                theta_out=rng.uniform(0, 2 * np.pi, n))
+        for count in map(len, _batches(trials)):
+            basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng, count=count))
+            v = sampling.sample_uniform(n, count, rng)
+            theta, theta_out = rng.uniform(0, 2 * np.pi, (2, count, n))
+            arr = measurement.build_simulation(basis, theta=theta, theta_out=theta_out)
             exact = measurement.arrangement_probs(arr, v)
-            born = measurement.born_probs(v, basis)
-            devs.append(np.max(np.abs(exact - born)))
-    return np.max(devs, initial=0.0), len(devs), {"dimensions": [2, 3, 5]}
+            devs.append(np.max(np.abs(exact - measurement.born_probs(v, basis))))
+    return np.max(devs, initial=0.0), 3 * trials, {"dimensions": [2, 3, 5]}
 
 
 @check("simulate", "simulate.frequencies", below=3.0)
@@ -496,16 +504,15 @@ def check_compose_dual_route(settings, trials):
     devs = []
     for n1 in (2, 3):
         for n2 in (2, 3):
-            for _ in range(trials // 2):
-                s1 = _random_full_support_rep(n1, rng)
-                s2 = _random_full_support_rep(n2, rng)
+            for count in map(len, _batches(trials // 2)):
+                s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
                 via_reps = qspace.to_complex(qspace.from_phase_rep(
                     composite.compose_phase_reps(s1, s2)))
                 direct = composite.tensor(
                     qspace.to_complex(qspace.from_phase_rep(s1)),
                     qspace.to_complex(qspace.from_phase_rep(s2)))
                 devs.append(np.max(np.abs(via_reps - direct)))
-    return np.max(devs, initial=0.0), len(devs), {}
+    return np.max(devs, initial=0.0), 4 * (trials // 2), {}
 
 
 @check("compose", "compose.born_factorization", trials=300, tol=1e-12)
@@ -513,16 +520,16 @@ def check_compose_born_factorization(settings, trials):
     """Born distribution of a product state in a product basis factorizes."""
     rng = settings.rng("compose.born")
     devs = []
-    for _ in range(trials):
-        n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        u1, u2 = sampling.haar_unitary(n1, rng), sampling.haar_unitary(n2, rng)
-        v1 = sampling.sample_uniform(n1, 1, rng)[0]
-        v2 = sampling.sample_uniform(n2, 1, rng)[0]
-        basis = measurement.MeasurementBasis(np.kron(u1, u2))
+    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
+        u1, u2 = (sampling.haar_unitary(n, rng, count=count) for n in (n1, n2))
+        v1, v2 = sampling.sample_uniform(n1, count, rng), sampling.sample_uniform(n2, count, rng)
+        # the product basis, np.kron(u1, u2) per sample: row N2 i + j is u1_i (x) u2_j
+        basis = measurement.MeasurementBasis(
+            (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(count, n1 * n2, -1))
         joint = measurement.born_probs(composite.tensor(v1, v2), basis)
         p1 = measurement.born_probs(v1, measurement.MeasurementBasis(u1))
         p2 = measurement.born_probs(v2, measurement.MeasurementBasis(u2))
-        devs.append(np.max(np.abs(joint - np.outer(p1, p2).ravel())))
+        devs.append(np.max(np.abs(joint - (p1[:, :, None] * p2[:, None, :]).reshape(count, -1))))
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -531,12 +538,11 @@ def check_compose_energy_additivity(settings, trials):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
     rng = settings.rng("compose.energy")
     devs = []
-    for _ in range(trials):
-        s1 = _random_full_support_rep(int(rng.integers(2, 4)), rng)
-        s2 = _random_full_support_rep(int(rng.integers(2, 4)), rng)
-        e1, e2 = rng.normal(scale=3.0), rng.normal(scale=3.0)
-        dt = rng.uniform(0.0, 2.0)
-        devs.append(composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0))
+    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
+        s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
+        e1, e2 = rng.normal(scale=3.0, size=(2, count))
+        dt = rng.uniform(0.0, 2.0, count)
+        devs.append(np.max(composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0)))
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -545,17 +551,14 @@ def check_compose_subsystem(settings, trials):
     """<A (x) I> on product states equals the single-system expectation."""
     rng = settings.rng("compose.subsystem")
     devs = []
-    for _ in range(trials):
-        n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
         obs = measurement.Observable(
-            basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng)),
-            values=rng.normal(size=n1))
-        v1 = sampling.sample_uniform(n1, 1, rng)[0]
-        v2 = sampling.sample_uniform(n2, 1, rng)[0]
+            basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng, count=count)),
+            values=rng.normal(size=(count, n1)))
+        v1, v2 = sampling.sample_uniform(n1, count, rng), sampling.sample_uniform(n2, count, rng)
         lifted = composite.subsystem_observable(obs, n2, position="first")
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
-        b = measurement.expected_value(v1, obs)
-        devs.append(abs(a - b))
+        devs.append(np.max(np.abs(a - measurement.expected_value(v1, obs))))
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -569,10 +572,10 @@ def check_compose_degenerate_example(settings):
     return np.max(np.abs([grouped[1.0] - 0.2, grouped[2.0] - 0.8])), 1, {"grouped": grouped}
 
 
-def _random_full_support_rep(n, rng):
-    p = simplex.renormalized(rng.random(n) + 0.05)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    return qspace.PhaseRep(p=p, phi=phi)
+def _random_phase_reps(n, count, rng):
+    """``count`` full-support phase representations of dimension ``n``, as one stack."""
+    p = simplex.renormalized(rng.random((count, n)) + 0.05)
+    return qspace.PhaseRep(p=p, phi=rng.uniform(0.0, 2.0 * np.pi, (count, n)))
 
 
 # -------------------------------------------------------------- dynamics

@@ -8,14 +8,16 @@ phase representation Q = (sqrt(p_1) cos(phi_1), sqrt(p_1) sin(phi_1),
 ..., sqrt(p_N) sin(phi_N)), and the complex form v_i = sqrt(p_i)
 e^{i phi_i} packs each outcome pair into one complex amplitude.  Phases
 are a float array with NaN exactly at the zero-probability results,
-so composition and evolution act on whole phase vectors.
+so composition and evolution act on whole phase vectors.  Leading axes
+hold a stack of states, and every function here except
+:func:`polarities` acts on each.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import NORM_TOL, as_prob_vec
+from .simplex import _check_total, as_prob_vec
 
 POLARITY_TOL = 1e-12
 
@@ -23,24 +25,20 @@ TWO_PI = 2.0 * np.pi
 
 
 def as_qvector(q):
-    """Validate a 2N-real state vector: even length, unit norm, entries in [-1, 1]."""
+    """Validate a 2N-real unit state vector, or a stack (..., 2N) of them."""
     q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size % 2 != 0 or q.size == 0:
-        raise ValueError("state vector must be 1-D with even, positive length")
-    if not abs(np.sum(q * q) - 1.0) <= NORM_TOL:  # also fails on NaN
-        raise ValueError(f"state vector has squared norm {np.sum(q * q)!r}, not 1")
+    if q.ndim == 0 or q.shape[-1] % 2 != 0 or q.shape[-1] == 0:
+        raise ValueError("state vector must have an even, positive length on the last axis")
+    _check_total(np.add.reduce(q * q, axis=-1), 1, "state vector has squared norm")
     return q
 
 
-def as_pure_state(v, stacked=False):
-    """Validate an N-complex unit vector, or with ``stacked`` a stack (..., N) of them."""
+def as_pure_state(v):
+    """Validate an N-complex unit vector, or a stack (..., N) of them."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim == 0 or v.shape[-1] == 0 or (v.ndim > 1 and not stacked):
-        raise ValueError("state must be a nonempty 1-D complex vector")
-    sq = np.add.reduce(np.abs(v) ** 2, axis=-1)
-    dev = abs(sq - 1.0)
-    if not (dev if dev.ndim == 0 else dev.max(initial=0.0)) <= NORM_TOL:  # also fails on NaN
-        raise ValueError(f"state has squared norm {np.ravel(sq)[np.argmax(dev)]!r}, not 1")
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("state must be a nonempty complex vector")
+    _check_total(np.add.reduce(np.abs(v) ** 2, axis=-1), 1, "state has squared norm")
     return v
 
 
@@ -53,6 +51,7 @@ class PhaseRep:
     the phase is undefined there, not merely unknown.  ``None`` entries
     on input are read as NaN.  Present phases must be finite and are
     stored reduced to [0, 2pi), in the convention phi = a chi + b with a = 1, b = 0.
+    ``p`` and ``phi`` of shape (..., N) hold a stack of states.
     """
 
     p: np.ndarray
@@ -74,16 +73,16 @@ class PhaseRep:
 
     @property
     def dim(self):
-        return self.p.size
+        return self.p.shape[-1]
 
 
 def from_phase_rep(rep):
     """Build the 2N-real state vector from a phase representation."""
     r = np.sqrt(rep.p)
     phi = np.fmax(rep.phi, 0.0)  # 0 where absent (NaN); present phases are >= 0
-    q = np.empty(2 * rep.dim)
-    q[0::2] = r * np.cos(phi)
-    q[1::2] = r * np.sin(phi)
+    q = np.empty(r.shape[:-1] + (2 * rep.dim,))
+    q[..., 0::2] = r * np.cos(phi)
+    q[..., 1::2] = r * np.sin(phi)
     return q
 
 
@@ -93,11 +92,11 @@ def to_phase_rep(q):
     Inverse of :func:`from_phase_rep` up to reduction of phases mod 2pi.
     """
     q = as_qvector(q)
-    pairs = q.reshape(-1, 2)
-    p = pairs[:, 0] ** 2 + pairs[:, 1] ** 2
-    phi = np.where(p > 0, np.arctan2(pairs[:, 1], pairs[:, 0]), np.nan)
+    re, im = q[..., 0::2], q[..., 1::2]
+    p = re**2 + im**2
+    phi = np.where(p > 0, np.arctan2(im, re), np.nan)
     # guard against rounding pushing the sum off 1
-    p = p / p.sum()
+    p = p / p.sum(axis=-1, keepdims=True)
     return PhaseRep(p=p, phi=phi)
 
 
@@ -105,18 +104,20 @@ def outcome_probs(q):
     """The 2N outcome probabilities P_q = Q_q^2."""
     q = as_qvector(q)
     P = q * q
-    return P / P.sum()
+    return P / P.sum(axis=-1, keepdims=True)
 
 
 def result_probs(q):
     """Coarse-grained result probabilities p_i = P_{2i-1} + P_{2i}."""
     P = outcome_probs(q)
-    return P.reshape(-1, 2).sum(axis=1)
+    return P[..., 0::2] + P[..., 1::2]
 
 
 def polarities(q):
     """Signs of the Q_q, as a tuple of +1/-1 with None where |Q_q| <= ``POLARITY_TOL``."""
     q = as_qvector(q)
+    if q.ndim != 1:
+        raise ValueError("polarities takes one state vector")
     return tuple(None if abs(x) <= POLARITY_TOL else int(np.sign(x)) for x in q)
 
 
@@ -133,14 +134,13 @@ def gauge_shift(v, phi0):
 def to_complex(q):
     """Complex form v_i = Q_{2i-1} + i Q_{2i}."""
     q = as_qvector(q)
-    pairs = q.reshape(-1, 2)
-    return pairs[:, 0] + 1j * pairs[:, 1]
+    return q[..., 0::2] + 1j * q[..., 1::2]
 
 
 def from_complex(v):
     """Real form (Re v_1, Im v_1, ..., Re v_N, Im v_N); exact inverse of to_complex."""
     v = as_pure_state(v)
-    q = np.empty(2 * v.size)
-    q[0::2] = v.real
-    q[1::2] = v.imag
+    q = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
+    q[..., 0::2] = v.real
+    q[..., 1::2] = v.imag
     return q

@@ -1,10 +1,12 @@
 """Discrete probability distributions with the information metric.
 
-A point on the M-outcome simplex is a 1-D float array with nonnegative
-entries summing to 1; a tangent displacement sums to 0.  Distinguishing
-two nearby distributions by repeated sampling yields an expected
-log-Bayes-factor of 2n ds^2 where ds^2 = (1/4) sum dp_i^2 / p_i, which
-is what singles this metric out.
+A point on the M-outcome simplex is a float array with nonnegative
+entries summing to 1 along its last axis; a tangent displacement sums to
+0.  Leading axes hold a stack of points, and each function acts on each
+point, except the log Bayes factor and its oracle, which take one pair.
+Distinguishing two nearby distributions by repeated sampling yields an
+expected log-Bayes-factor of 2n ds^2 where ds^2 = (1/4) sum dp_i^2 / p_i,
+which is what singles this metric out.
 """
 
 import numpy as np
@@ -17,40 +19,44 @@ class SupportMismatchError(ValueError):
     the other hypothesis can produce (infinite evidence)."""
 
 
+def _check_total(total, target, what):
+    """Raise ValueError unless every entry of ``total`` is within ``NORM_TOL`` of ``target``."""
+    dev = abs(total - target)
+    if not (dev if dev.ndim == 0 else dev.max(initial=0.0)) <= NORM_TOL:  # also fails on NaN
+        raise ValueError(f"{what} {np.ravel(total)[np.argmax(dev)]!r}, not {target}")
+
+
 def as_prob_vec(p):
-    """Validate and return ``p`` as a probability vector.
+    """Validate and return ``p`` as a probability vector, or a stack (..., M) of them.
 
     Entries must be nonnegative and sum to 1 within ``NORM_TOL``.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be 1-D and nonempty")
-    # comparisons written to fail on NaN
-    if not p.min() >= 0:
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError("probability vector must be nonempty, outcomes on the last axis")
+    if not p.min(initial=0.0) >= 0:  # fails on NaN
         raise ValueError("probability entries must be nonnegative")
-    if not abs(p.sum() - 1.0) <= NORM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    _check_total(np.add.reduce(p, axis=-1), 1, "probabilities sum to")
     return p
 
 
 def renormalized(p):
-    """Construct a probability vector from unnormalized nonnegative weights."""
+    """Construct a probability vector, or a stack of them, from nonnegative weights."""
     p = np.asarray(p, dtype=float)
-    if not p.min() >= 0:
+    if not p.min(initial=0.0) >= 0:
         raise ValueError("weights must be nonnegative")
-    s = p.sum()
-    if not 0 < s < np.inf:
+    s = p.sum(axis=-1, keepdims=True)
+    if not ((0 < s) & (s < np.inf)).all():
         raise ValueError("weights must be finite and not all zero")
     return p / s
 
 
 def as_tangent_vec(dp):
-    """Validate a simplex displacement: entries must sum to 0 within ``NORM_TOL``."""
+    """Validate a simplex displacement, or a stack of them: entries sum to 0 within NORM_TOL."""
     dp = np.asarray(dp, dtype=float)
-    if dp.ndim != 1:
-        raise ValueError("tangent vector must be 1-D")
-    if not abs(dp.sum()) <= NORM_TOL:
-        raise ValueError(f"displacement entries sum to {dp.sum()!r}, not 0")
+    if dp.ndim == 0:
+        raise ValueError("tangent vector must have an outcome axis")
+    _check_total(np.add.reduce(dp, axis=-1), 0, "displacement entries sum to")
     return dp
 
 
@@ -67,8 +73,7 @@ def info_metric_ds2(p, dp):
     zero = p == 0
     if np.any(zero & (dp != 0)):
         raise ValueError("nonzero displacement at a zero-probability entry")
-    live = ~zero
-    return 0.25 * np.sum(dp[live] ** 2 / p[live])
+    return 0.25 * np.sum(dp**2 / np.where(zero, np.inf, p), axis=-1)
 
 
 def sqrt_embedding(p):
@@ -86,8 +91,8 @@ def geodesic_distance(p, p2):
     p2 = as_prob_vec(p2)
     if p.shape != p2.shape:
         raise ValueError("distributions must have the same dimension")
-    dot = np.sum(np.sqrt(p * p2))
-    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
+    d = np.arccos(np.clip(np.sum(np.sqrt(p * p2), axis=-1), -1.0, 1.0))
+    return d if d.ndim else float(d)
 
 
 def log_bayes_factor(p, p2, n):
@@ -100,8 +105,8 @@ def log_bayes_factor(p, p2, n):
     """
     p = as_prob_vec(p)
     p2 = as_prob_vec(p2)
-    if p.shape != p2.shape:
-        raise ValueError("distributions must have the same dimension")
+    if p.ndim != 1 or p.shape != p2.shape:
+        raise ValueError("distributions must be 1-D, of the same dimension")
     if n <= 0:
         raise ValueError("sample count must be positive")
     live = p > 0
@@ -121,6 +126,8 @@ def simulate_log_evidence(p, p2, n, datasets, rng):
     """
     p = as_prob_vec(p)
     p2 = as_prob_vec(p2)
+    if p.ndim != 1 or p.shape != p2.shape:
+        raise ValueError("distributions must be 1-D, of the same dimension")
     live = p > 0
     if np.any(live & (p2 == 0)):
         raise SupportMismatchError("p2 excludes an outcome p can produce")

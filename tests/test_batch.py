@@ -2,12 +2,15 @@
 
 The stacked kernels (``classify_batch``, ``witness_deviation``,
 ``simulate_batch``, stacked Haar draws, ``apply`` on rows,
-``metric_invariance_check``) must give what the scalar calls or the
-loops they replaced give element by element; each rewritten
-``classify.*``/``simulate.*`` check must fail on a planted defect, with
-its margin on the failing side of 1; a kernel that returns NaN must fail
-the checks that call it; and no check may validate its inputs once per
-trial.
+``metric_invariance_check``) and the library functions that take leading
+axes in place (states, phase representations, bases, observables,
+composition, evolution) must give what the scalar calls or the loops
+they replaced give element by element, and the functions of one state
+must reject a stack; each rewritten ``classify.*``/``simulate.*``/
+``born.*``/``compose.*`` check and the first two ``metric.*`` checks must
+fail on a planted defect, with its margin on the failing side of 1; a
+kernel that returns NaN must fail the checks that call it; and no check
+may validate its inputs once per trial.
 """
 
 import collections
@@ -15,6 +18,7 @@ import inspect
 import json
 import sys
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import qig
-from qig import cli, composite, harness, measure, measurement, qspace, sampling, simplex, transforms
+from qig import (cli, composite, dynamics, harness, measure, measurement, qspace, sampling,
+                 simplex, transforms)
 
 FLIP = np.diag([1.0, -1.0])
 SHAPES = ("unitary", "antiunitary", "generic", "mixed", "zero_block", "unequal_norms",
@@ -147,11 +152,15 @@ def test_validators_reject_nan_and_check_stacks():
         transforms.classify(np.stack([np.eye(2)] * 2))
     with pytest.raises(ValueError, match="residual 4.24264"):
         transforms.classify_batch(np.stack([np.eye(2), 2.0 * np.eye(2)]))
-    with pytest.raises(ValueError, match="1-D"):
-        qspace.as_pure_state(np.eye(2))
+    # a validator takes a stack (..., N) of states; a scalar has no state axis
+    with pytest.raises(ValueError, match="nonempty"):
+        qspace.as_pure_state(1.0)
+    assert_array_equal(qspace.as_pure_state(np.eye(2)), np.eye(2))
     with pytest.raises(ValueError, match=r"squared norm (np\.float64\()?0\.5\b"):
-        qspace.as_pure_state([[1.0, 0.0], [0.5, 0.5]], stacked=True)
-    assert qspace.as_pure_state(np.zeros((0, 3)), stacked=True).shape == (0, 3)
+        qspace.as_pure_state([[1.0, 0.0], [0.5, 0.5]])
+    assert qspace.as_pure_state(np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        measurement.MeasurementBasis(np.full((2, 2), np.nan))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -312,6 +321,26 @@ MUTANTS = {
     "output state V e_(i+1)": (
         measurement, "return i, arr.V.T.take(i, axis=0)",
         "return i, arr.V.T.take((i + 1) % p.shape[-1], axis=0)", ["simulate.reproducibility"]),
+    "born_probs without conj": (
+        measurement, "p = np.abs((basis.vectors.conj() @ v[..., None])[..., 0]) ** 2",
+        "p = np.abs((basis.vectors @ v[..., None])[..., 0]) ** 2", ["born.exact"]),
+    "subtracted phases in composition": (
+        composite, "phi = (s1.phi[..., :, None] + s2.phi[..., None, :])",
+        "phi = (s1.phi[..., :, None] - s2.phi[..., None, :])", ["compose.dual_route"]),
+    "swapped tensor operands": (
+        composite, "v = as_pure_state(v1)[..., :, None] * as_pure_state(v2)[..., None, :]",
+        "v = as_pure_state(v2)[..., :, None] * as_pure_state(v1)[..., None, :]",
+        ["compose.born_factorization"]),
+    "tiled values of A (x) I": (
+        composite, "np.repeat(obs.values, n_other, axis=-1)", "np.tile(obs.values, n_other)",
+        ["compose.subsystem_observable"]),
+    "energy shift nonlinear in energy": (
+        dynamics, "np.asarray(energy * dt / alpha)", "np.asarray(energy * energy * dt / alpha)",
+        ["compose.energy_additivity"]),
+    "metric without its 1/4": (
+        simplex, "return 0.25 * np.sum(", "return np.sum(", ["metric.pullback"]),
+    "|Q_q| as the outcome probability": (
+        qspace, "P = q * q", "P = np.abs(q)", ["metric.qspace_euclidean"]),
 }
 
 
@@ -324,6 +353,8 @@ def run_with(monkeypatch, module, old, new, names):
         checks = {e[0]: (s, e) for s, entries in copy.SUITES.items() for e in entries}
     else:
         monkeypatch.setattr(harness, module.__name__.rsplit(".", 1)[1], copy)
+        # and for imports made at call time, such as composite's of dynamics
+        monkeypatch.setitem(sys.modules, module.__name__, copy)
         checks = CHECKS
     return {name: runner.run_check(*checks[name], SMALL) for name in names}
 
@@ -342,7 +373,7 @@ def test_planted_defect_fails_its_check(defect, monkeypatch):
 
 # kernel -> a stand-in returning NaN in its result's shape, and the checks that call it
 NAN_KERNELS = {
-    (measurement, "born_probs"): (lambda v, basis: np.full(np.shape(v)[-1], np.nan),
+    (measurement, "born_probs"): (lambda v, basis: np.full(np.shape(v), np.nan),
                                   ["born.exact", "compose.born_factorization"]),
     (simplex, "info_metric_ds2"): (lambda p, dp: np.nan, ["metric.pullback", "metric.geodesic"]),
     (transforms, "witness_deviation"): (lambda m, z, phi0: np.full(np.shape(m)[:-2], np.nan),
@@ -399,14 +430,15 @@ def test_composition_tolerance_is_declared():
         assert [b is not None for b in entry[3:]].count(True) == 1, entry[0]
     report = harness.run_check(*CHECKS["classify.composition"], harness.Settings())
     assert report["status"] == "pass" and report["tolerance"] == 1e-9
-    strict = harness.Settings(tolerances={"classify": 0.0})
+    strict = harness.Settings(tolerances={"classify": 1e-300})
     assert harness.run_check(*CHECKS["classify.composition"], strict)["status"] == "fail"
 
 
 # --------------------------------------------------------------- validate once
 
 
-VALIDATORS = (qspace.as_pure_state, qspace.as_qvector, transforms.as_orthogonal)
+VALIDATORS = (qspace.as_pure_state, qspace.as_qvector, transforms.as_orthogonal,
+              simplex.as_prob_vec)
 MODULES = [getattr(qig, name) for name in qig.__all__] + [harness]
 
 
@@ -434,13 +466,200 @@ def validation_counts(monkeypatch, names, config):
 
 
 def test_checks_validate_once_per_batch(monkeypatch):
-    names = [name for name in CHECKS if name.split(".")[0] in ("classify", "simulate")]
-    assert len(names) == 6
+    suites = ("classify", "simulate", "born", "compose")
+    names = [name for name in CHECKS if name.split(".")[0] in suites
+             and name != "compose.degenerate_grouping"]
+    assert len(names) == 11
     runs = [validation_counts(monkeypatch, names, harness.Settings(
-        trials={"classify": trials, "simulate": trials})) for trials in (20, 40)]
+        trials=dict.fromkeys(suites, trials))) for trials in (20, 40)]
     assert runs[0] == runs[1]
     for name, counts in runs[0].items():
-        assert sum(counts.values()) <= 2 * len(harness.DEFAULT_DIMENSIONS), (name, counts)
+        # classify and simulate: at most 2 per dimension (4 of them); born and
+        # compose: at most 8 per dimension group (3 for born.exact, 4 for compose)
+        groups = 3 if name == "born.exact" else 4
+        bound = 2 * groups if name.split(".")[0] in suites[:2] else 8 * groups
+        assert sum(counts.values()) <= bound, (name, counts)
+
+
+# ------------------------------------------------------------- leading axes
+
+
+def draw_state(rng, n=3):
+    return sampling.sample_uniform(n, 1, rng)[0]
+
+
+def draw_basis(rng, n=3):
+    return measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
+
+
+def draw_observable(rng, n=3):
+    # values from a few integers, so that some observables are degenerate
+    return measurement.Observable(basis=draw_basis(rng, n), values=rng.integers(0, 3, n) * 0.5)
+
+
+def draw_raw_rep(rng, n=3):
+    """Probabilities, about one in three of them 0, and unreduced phases, NaN where p is 0."""
+    w = rng.random(n) * (rng.random(n) > 1 / 3)
+    w[rng.integers(n)] = 1.0  # never all zero
+    p = simplex.renormalized(w)
+    return p, np.where(p > 0, rng.uniform(-7.0, 7.0, n), np.nan)
+
+
+def draw_rep(rng, n=3):
+    p, phi = draw_raw_rep(rng, n)
+    return qspace.PhaseRep(p=p, phi=phi)
+
+
+def draw_prob(rng, n=4):
+    return draw_raw_rep(rng, n)[0]
+
+
+def draw_tangent(rng, p):
+    dp = np.where(p > 0, rng.normal(size=p.size), 0.0)
+    return dp - np.where(p > 0, dp.sum() / np.count_nonzero(p), 0.0)
+
+
+# function -> (the function, a draw of one row of its arguments); leading axes
+# on every argument must give the row-by-row results
+STACKABLE = {
+    "simplex.as_prob_vec": (simplex.as_prob_vec, lambda rng: (draw_prob(rng),)),
+    "simplex.renormalized": (simplex.renormalized, lambda rng: (rng.random(4),)),
+    "simplex.as_tangent_vec": (
+        simplex.as_tangent_vec, lambda rng: (draw_tangent(rng, draw_prob(rng)),)),
+    "simplex.info_metric_ds2": (
+        simplex.info_metric_ds2, lambda rng: (p := draw_prob(rng), draw_tangent(rng, p))),
+    "simplex.sqrt_embedding": (simplex.sqrt_embedding, lambda rng: (draw_prob(rng),)),
+    "simplex.geodesic_distance": (
+        simplex.geodesic_distance, lambda rng: (draw_prob(rng), draw_prob(rng))),
+    "qspace.as_pure_state": (qspace.as_pure_state, lambda rng: (draw_state(rng),)),
+    "qspace.as_qvector": (
+        qspace.as_qvector, lambda rng: (qspace.from_complex(draw_state(rng)),)),
+    "qspace.PhaseRep": (lambda p, phi: qspace.PhaseRep(p=p, phi=phi), draw_raw_rep),
+    "qspace.from_phase_rep": (qspace.from_phase_rep, lambda rng: (draw_rep(rng),)),
+    "qspace.to_phase_rep": (
+        qspace.to_phase_rep, lambda rng: (qspace.from_phase_rep(draw_rep(rng)),)),
+    "qspace.outcome_probs": (
+        qspace.outcome_probs, lambda rng: (qspace.from_phase_rep(draw_rep(rng)),)),
+    "qspace.result_probs": (
+        qspace.result_probs, lambda rng: (qspace.from_phase_rep(draw_rep(rng)),)),
+    "qspace.to_complex": (
+        qspace.to_complex, lambda rng: (qspace.from_phase_rep(draw_rep(rng)),)),
+    "qspace.from_complex": (qspace.from_complex, lambda rng: (draw_state(rng),)),
+    "qspace.gauge_shift": (lambda v: qspace.gauge_shift(v, 0.7), lambda rng: (draw_state(rng),)),
+    "measurement.MeasurementBasis": (
+        measurement.MeasurementBasis, lambda rng: (sampling.haar_unitary(3, rng),)),
+    "measurement.Observable": (
+        lambda basis, values: measurement.Observable(basis=basis, values=values),
+        lambda rng: (draw_basis(rng), rng.normal(size=3))),
+    "measurement.Observable.matrix": (
+        lambda obs: obs.matrix(), lambda rng: (draw_observable(rng),)),
+    "measurement.Observable.is_degenerate": (
+        lambda obs: obs.is_degenerate, lambda rng: (draw_observable(rng),)),
+    "measurement.build_simulation": (
+        measurement.build_simulation,
+        lambda rng: (draw_basis(rng), rng.uniform(0, 6, 3), rng.uniform(0, 6, 3))),
+    "measurement.arrangement_probs": (
+        lambda basis, theta, v: measurement.arrangement_probs(
+            measurement.build_simulation(basis, theta=theta), v),
+        lambda rng: (draw_basis(rng), rng.uniform(0, 6, 3), draw_state(rng))),
+    "measurement.born_probs": (
+        measurement.born_probs, lambda rng: (draw_state(rng), draw_basis(rng))),
+    "measurement.expected_value": (
+        measurement.expected_value, lambda rng: (draw_state(rng), draw_observable(rng))),
+    "composite.tensor": (
+        composite.tensor, lambda rng: (draw_state(rng, 2), draw_state(rng, 3))),
+    "composite.compose_phase_reps": (
+        composite.compose_phase_reps, lambda rng: (draw_rep(rng, 2), draw_rep(rng, 3))),
+    "composite.subsystem_observable first": (
+        lambda obs: composite.subsystem_observable(obs, 2, position="first"),
+        lambda rng: (draw_observable(rng),)),
+    "composite.subsystem_observable second": (
+        lambda obs: composite.subsystem_observable(obs, 2, position="second"),
+        lambda rng: (draw_observable(rng),)),
+    "composite.energy_additivity_check": (
+        lambda s1, s2, e1, e2, dt: composite.energy_additivity_check(s1, s2, e1, e2, dt, 1.5),
+        lambda rng: (draw_rep(rng, 2), draw_rep(rng, 3), *rng.normal(scale=3.0, size=2),
+                     rng.uniform(0, 2))),
+    "dynamics.evolve_stationary": (
+        lambda rep, energy, dt: dynamics.evolve_stationary(rep, energy, dt, 1.5),
+        lambda rng: (draw_rep(rng), rng.normal(scale=3.0), rng.uniform(0, 2))),
+}
+
+
+def stack(items):
+    """One argument stacked from its per-row values."""
+    first = items[0]
+    if isinstance(first, qspace.PhaseRep):
+        return qspace.PhaseRep(p=np.stack([x.p for x in items]),
+                               phi=np.stack([x.phi for x in items]))
+    if isinstance(first, measurement.MeasurementBasis):
+        return measurement.MeasurementBasis(np.stack([x.vectors for x in items]))
+    if isinstance(first, measurement.Observable):
+        return measurement.Observable(basis=stack([x.basis for x in items]),
+                                      values=np.stack([x.values for x in items]))
+    return np.stack(items)
+
+
+def fields(out):
+    """The arrays a result holds."""
+    if isinstance(out, qspace.PhaseRep):
+        return out.p, out.phi
+    if isinstance(out, measurement.MeasurementBasis):
+        return (out.vectors,)
+    if isinstance(out, measurement.Observable):
+        return out.basis.vectors, out.values
+    if isinstance(out, measurement.SimulationArrangement):
+        return out.basis.vectors, out.U, out.V
+    return (np.asarray(out),)
+
+
+@pytest.mark.parametrize("name", STACKABLE)
+def test_stack_equals_row_calls(name):
+    fn, draw = STACKABLE[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    rows = [draw(rng) for _ in range(6)]
+    stacked = fields(fn(*[stack(column) for column in zip(*rows)]))
+    # two leading axes: the same values, shaped (2, 3, ...)
+    grid = fields(fn(*[stack([stack(column[:3]), stack(column[3:])])
+                       for column in zip(*rows)]))
+    for k, args in enumerate(rows):
+        for whole, by_grid, row in zip(stacked, grid, fields(fn(*args))):
+            assert_array_equal(whole[k], row)
+            assert_array_equal(by_grid[k // 3, k % 3], row)
+
+
+def test_scalar_calls_keep_their_types():
+    rng = np.random.default_rng(8)
+    p, p2 = draw_prob(rng), draw_prob(rng)
+    s1, s2 = draw_rep(rng, 2), draw_rep(rng, 3)
+    obs = draw_observable(rng)
+    assert type(simplex.geodesic_distance(p, p2)) is float
+    assert type(measurement.expected_value(draw_state(rng), obs)) is float
+    assert type(composite.energy_additivity_check(s1, s2, 1.0, 2.0, 0.5, 1.0)) is float
+    assert type(obs.is_degenerate) is bool
+
+
+def test_functions_of_one_state_reject_stacks():
+    rng = np.random.default_rng(9)
+    p = np.stack([draw_prob(rng, 3), draw_prob(rng, 3)])
+    v = sampling.sample_uniform(3, 2, rng)
+    bases = measurement.MeasurementBasis(sampling.haar_unitary(3, rng, count=2))
+    arr = measurement.build_simulation(bases)
+    standard = measurement.MeasurementBasis.standard(3)
+    with pytest.raises(ValueError, match="one state vector"):
+        qspace.polarities(qspace.from_complex(v))
+    with pytest.raises(ValueError, match="1-D"):
+        simplex.log_bayes_factor(p, p, 10)
+    with pytest.raises(ValueError, match="1-D"):
+        simplex.simulate_log_evidence(p, p, 10, 5, rng)
+    with pytest.raises(ValueError, match="one state and one basis"):
+        measurement.degenerate_probs(v, standard, [1.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="one state and one basis"):
+        measurement.degenerate_probs(v[0], bases, [1.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="one arrangement"):
+        measurement.simulate_batch(arr, v[0], rng.random(4))
+    with pytest.raises(ValueError, match="one arrangement"):
+        measurement.simulate_measurement(arr, v[0], rng)
 
 
 # -------------------------------------------------------- phase representation

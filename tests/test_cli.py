@@ -25,9 +25,24 @@ def strip_elapsed(report):
 def test_parse_dimensions():
     assert cli.parse_dimensions("3") == (3,)
     assert cli.parse_dimensions("2..5") == (2, 3, 4, 5)
-    for bad in ("1", "5..2", "0..3"):
-        with pytest.raises(Exception):
-            cli.parse_dimensions(bad)
+    # parsing only: Settings rejects these (test_dimensions_below_two_rejected)
+    assert cli.parse_dimensions("5..2") == ()
+    assert cli.parse_dimensions("0..3") == (0, 1, 2, 3)
+    with pytest.raises(ValueError):
+        cli.parse_dimensions("two")
+
+
+def test_dimensions_below_two_rejected(tmp_path, capsys):
+    # the rule lives in Settings, so a config file cannot bypass it
+    config = tmp_path / "verify.json"
+    for dims in ([], [1], [0], [2, 1]):
+        config.write_text(json.dumps({"dimensions": dims}))
+        for argv in (["classify", "--config", str(config)], ["classify", "--n", "1"],
+                     ["classify", "--n", "5..2"], ["classify", "--n", "0..3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "dimensions, each >= 2" in capsys.readouterr().err
 
 
 def test_parse_override():
@@ -76,15 +91,23 @@ def test_unknown_suite_rejected(capsys):
 
 
 def test_trial_count_below_one_rejected(tmp_path, capsys):
-    # a check that runs no trials shows nothing, so it must not report a pass
-    config = tmp_path / "verify.json"
-    config.write_text(json.dumps({"trials": {"metric": 0}}))
-    for argv in (["metric", "--trials", "0"], ["haar", "--trials", "-3"],
-                 ["metric", "--config", str(config)]):
+    # a check that runs no trials shows nothing, so it must not report a pass;
+    # nor may a bound that cannot fail (inf) or cannot pass (NaN, 0 or below)
+    trials, tolerances = tmp_path / "trials.json", tmp_path / "tolerances.json"
+    trials.write_text(json.dumps({"trials": {"metric": 0}}))
+    tolerances.write_text(json.dumps({"tolerances": {"born": float("inf")}}))
+    few, bad_tol = "trial count below 1", "tolerance not a finite number > 0 for born"
+    for argv, message in ((["metric", "--trials", "0"], few), (["haar", "--trials", "-3"], few),
+                          (["metric", "--config", str(trials)], few),
+                          (["born", "--tol", "born=inf", "--trials", "20"], bad_tol),
+                          (["born", "--tol", "born=nan", "--trials", "20"], bad_tol),
+                          (["born", "--tol", "born=0"], bad_tol),
+                          (["born", "--tol", "born=-1"], bad_tol),
+                          (["born", "--config", str(tolerances)], bad_tol)):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "trial count below 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_tolerance_override_can_force_failure(capsys):
