@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qspace import PhaseRep
+from .simplex import as_prob_vec
 
 
 def evolve_stationary(rep, energy, dt, alpha):
@@ -32,7 +33,8 @@ class HJGridState:
 
     ``P`` holds site probabilities (summing to 1), ``S`` the action per
     site, ``V`` the potential per site; ``h`` is the lattice spacing
-    and ``x0`` the first site.
+    and ``x0`` the first site.  ``P``, ``S`` and ``V`` of shape (..., sites)
+    hold a stack of ensembles on the same lattice.
     """
 
     h: float
@@ -43,16 +45,14 @@ class HJGridState:
     V: np.ndarray = None
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        P = as_prob_vec(self.P)
         S = np.asarray(self.S, dtype=float)
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if P.shape != S.shape or P.ndim != 1:
-            raise ValueError("P and S must be 1-D arrays of equal length")
-        if not (P.min() >= 0 and abs(P.sum() - 1.0) <= 1e-9):  # fails on NaN
-            raise ValueError("P must be a probability vector over sites")
+        if P.shape != S.shape:
+            raise ValueError("P and S must have the same shape")
         V = np.zeros_like(P) if self.V is None else np.asarray(self.V, dtype=float)
         if V.shape != P.shape:
             raise ValueError("V must match the grid")
@@ -62,13 +62,16 @@ class HJGridState:
 
     @property
     def x(self):
-        return self.x0 + self.h * np.arange(self.P.size)
+        return self.x0 + self.h * np.arange(self.P.shape[-1])
 
 
 def hj_stationary_step(state, energy, dt):
-    """Evolve a stationary-ensemble state: P unchanged, S -> S - E dt."""
+    """Evolve a stationary-ensemble state: P unchanged, S -> S - E dt.
+
+    ``energy`` and ``dt`` may be arrays of the stack shape of ``state``.
+    """
     return HJGridState(h=state.h, x0=state.x0, P=state.P,
-                       S=state.S - energy * dt, m=state.m, V=state.V)
+                       S=state.S - np.asarray(energy * dt)[..., None], m=state.m, V=state.V)
 
 
 def hj_residual(state_fn, t, dt):
@@ -86,9 +89,10 @@ def hj_residual(state_fn, t, dt):
     counterparts.
     """
     prev, cur, nxt = state_fn(t - dt), state_fn(t), state_fn(t + dt)
+    if cur.P.ndim != 1 or cur.P.size < 5:
+        raise ValueError("need one ensemble per time, not a stack, on a grid of 3 or more "
+                         "interior points")
     n = cur.P.size
-    if n < 5:
-        raise ValueError("grid too small: need at least 3 interior points")
     for other in (prev, nxt):
         if other.P.size != n or other.h != cur.h:
             raise ValueError("states at different times use different grids")

@@ -285,7 +285,7 @@ def check_measure_invariant_density(settings, trials):
         period = np.pi / abs(a)
         eps = 0.02 * period
         # avoid the zeros of sin*cos where the density is singular
-        half = np.linspace(eps, period / 2 - eps, trials // 2)
+        half = np.linspace(eps, period / 2 - eps, -(-trials // 2))  # half of trials, rounded up
         grid = np.concatenate([half, half + period / 2]) - b / a + period
         dens = measure.induced_measure_density(ff, grid)
         devs += [np.max(np.abs(dens - 2.0 * abs(a))), measure.density_variation(ff, grid)]
@@ -337,15 +337,15 @@ def check_classify_roundtrip(settings, trials):
         for batch in _batches(trials):
             v = sampling.haar_unitary(n, rng, count=len(batch))
             # per sample: the unitary, then the antiunitary realification
-            kind, found_v, _, _ = transforms.classify_batch(np.stack(
+            g = transforms.classify(np.stack(
                 [transforms.realify_unitary(v), transforms.realify_antiunitary(v)], axis=1))
-            wrong = np.argwhere(kind != transforms.KINDS[1:])
+            wrong = np.argwhere(g.kind != transforms.KINDS[1:])
             if wrong.size:
                 t, anti = wrong[0]
                 return 1.0, total + 2 * int(t) + int(anti) + 1, _kind_failure(
-                    batch[t], n, transforms.KINDS[1 + anti], kind[t, anti])
-            total += kind.size
-            devs.append(np.max(np.abs(found_v - v[:, None])))
+                    batch[t], n, transforms.KINDS[1 + anti], g.kind[t, anti])
+            total += g.kind.size
+            devs.append(np.max(np.abs(g.v - v[:, None])))
     return np.max(devs, initial=0.0), total, {"dimensions": list(settings.dimensions)}
 
 
@@ -358,9 +358,8 @@ def check_classify_rejects_generic(settings, trials):
     for n in settings.dimensions:
         for batch in _batches(trials):
             m = sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))
-            z, phi0 = transforms.witness_draws(n, (len(batch), 1, WITNESS_TRIALS), rng)
-            kind = transforms.classify_batch(m)[0]
-            devs.append(transforms.witness_deviation(m, z[:, 0], phi0[:, 0]).min())
+            devs.append(transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)[1].min())
+            kind = transforms.classify(m).kind
             accepted = np.flatnonzero(kind != transforms.REJECTED)
             if accepted.size:
                 t = int(accepted[0])
@@ -383,37 +382,37 @@ def check_classify_witness_agreement(settings, trials):
             m = np.stack([transforms.realify_unitary(v), transforms.realify_antiunitary(v),
                           sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))],
                          axis=1)
-            z, phi0 = transforms.witness_draws(n, (len(batch), 3, WITNESS_TRIALS), rng)
-            kind = transforms.classify_batch(m)[0]
-            dev = transforms.witness_deviation(m, z, phi0)
-            wrong = np.argwhere((kind != transforms.REJECTED) != (dev < transforms.WITNESS_TOL))
+            passed, dev = transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)
+            g = transforms.classify(m)
+            wrong = np.argwhere(g.is_gauge_invariant != passed)
             if wrong.size and not first:
                 t, j = wrong[0]
-                first = {"first_failure": {"sample": int(batch[t]), "n": n, "found": str(kind[t, j]),
+                first = {"first_failure": {"sample": int(batch[t]), "n": n,
+                                           "found": str(g.kind[t, j]),
                                            "witness_deviation": float(dev[t, j])}}
-            total += kind.size
+            total += g.kind.size
             disagreements += len(wrong)
     return disagreements, total, {"disagreements": disagreements, **first}
 
 
 @check("classify", "classify.composition", trials=200, tol=1e-9)
 def check_classify_composition(settings, trials):
-    """classify respects the unitary/antiunitary composition table."""
+    """classify of a realified product agrees with compose: the composition table."""
     rng = settings.rng("classify.composition")
     dims = rng.integers(2, 6, trials)
     k1, k2 = rng.integers(0, 2, (2, trials))  # 1 = antiunitary
-    kind = np.empty(trials, dtype=transforms.KINDS.dtype)
+    kind, expected = np.empty((2, trials), dtype=transforms.KINDS.dtype)
     devs = []
     for n in np.unique(dims):
         at = np.flatnonzero(dims == n)
         v1, v2 = sampling.haar_unitary(n, rng, count=2 * at.size).reshape(
             at.size, 2, n, n).swapaxes(0, 1)
-        anti1, anti2 = k1[at, None, None] == 1, k2[at, None, None] == 1
-        m1, m2 = (np.where(anti, transforms.realify_antiunitary(v), transforms.realify_unitary(v))
-                  for anti, v in ((anti1, v1), (anti2, v2)))
-        kind[at], found_v, _, _ = transforms.classify_batch(m1 @ m2)
-        devs.append(np.max(np.abs(found_v - v1 @ np.where(anti1, v2.conj(), v2))))
-    expected = transforms.KINDS[1 + (k1 != k2)]
+        g1, g2 = (transforms.GaugeMap(kind=transforms.KINDS[1 + k[at]], v=v)
+                  for k, v in ((k1, v1), (k2, v2)))
+        g = transforms.classify(transforms.realify(g1) @ transforms.realify(g2))
+        composed = transforms.compose(g1, g2)
+        kind[at], expected[at] = g.kind, composed.kind
+        devs.append(np.max(np.abs(g.v - composed.v)))
     wrong = np.flatnonzero(kind != expected)
     if wrong.size:
         t = wrong[0]
@@ -504,7 +503,7 @@ def check_compose_dual_route(settings, trials):
     devs = []
     for n1 in (2, 3):
         for n2 in (2, 3):
-            for count in map(len, _batches(trials // 2)):
+            for count in map(len, _batches(-(-trials // 2))):  # half of trials, rounded up
                 s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
                 via_reps = qspace.to_complex(qspace.from_phase_rep(
                     composite.compose_phase_reps(s1, s2)))
@@ -512,7 +511,7 @@ def check_compose_dual_route(settings, trials):
                     qspace.to_complex(qspace.from_phase_rep(s1)),
                     qspace.to_complex(qspace.from_phase_rep(s2)))
                 devs.append(np.max(np.abs(via_reps - direct)))
-    return np.max(devs, initial=0.0), 4 * (trials // 2), {}
+    return np.max(devs, initial=0.0), 4 * -(-trials // 2), {}
 
 
 @check("compose", "compose.born_factorization", trials=300, tol=1e-12)
@@ -587,12 +586,10 @@ def check_dynamics_correspondence(settings, trials):
     rng = settings.rng("dynamics.correspondence")
     alpha = 1.0
     devs = []
-    for _ in range(trials):
-        n = int(rng.integers(3, 8))
-        p = simplex.renormalized(rng.random(n) + 0.05)
-        S = rng.normal(size=n)
-        state = dynamics.HJGridState(h=0.1, x0=0.0, P=p, S=S, m=1.0)
-        e, dt = rng.normal(scale=2.0), rng.uniform(0.0, 3.0)
+    for n, count in _groups(rng.integers(3, 8, (trials, 1))):
+        p = simplex.renormalized(rng.random((count, n)) + 0.05)
+        state = dynamics.HJGridState(h=0.1, x0=0.0, P=p, S=rng.normal(size=(count, n)), m=1.0)
+        e, dt = rng.normal(scale=2.0, size=count), rng.uniform(0.0, 3.0, count)
         via_hj = dynamics.phase_rep_from_hj(
             dynamics.hj_stationary_step(state, e, dt), alpha)
         via_phase = dynamics.evolve_stationary(
@@ -606,16 +603,15 @@ def check_dynamics_correspondence(settings, trials):
 def check_dynamics_unitary(settings, trials):
     """Stationary evolution realifies to a map classified as unitary; counts other verdicts."""
     rng = settings.rng("dynamics.unitary")
-    failures, first = 0, {}
-    for t in range(trials):
-        n = int(rng.integers(2, 6))
-        shift = rng.normal()
-        m = transforms.realify_unitary(np.exp(-1j * shift) * np.eye(n))
-        g = transforms.classify(m)
-        if g.kind != "unitary":
-            failures += 1
-            first = first or {"first_failure": {"sample": t, "n": n, "found": g.kind}}
-    return failures, trials, first
+    dims, shift = rng.integers(2, 6, trials), rng.normal(size=trials)
+    kind = np.empty(trials, dtype=transforms.KINDS.dtype)
+    for n in np.unique(dims):
+        at = np.flatnonzero(dims == n)
+        m = transforms.realify_unitary(np.exp(-1j * shift[at])[:, None, None] * np.eye(n))
+        kind[at] = transforms.classify(m).kind
+    wrong = np.flatnonzero(kind != "unitary")
+    first = _kind_failure(wrong[0], dims[wrong[0]], "unitary", kind[wrong[0]]) if wrong.size else {}
+    return wrong.size, trials, first
 
 
 @check("dynamics", "dynamics.hj_residuals", below=1e-9)
@@ -662,10 +658,10 @@ def check_haar_metric_invariance(settings, trials):
     n = 3
     devs = []
     for kind in ("unitary", "antiunitary"):
-        for k in range(trials):
-            g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng))
-            devs.append(sampling.metric_invariance_check(g, pairs, rng))
-    return np.max(devs, initial=0.0), pairs * len(devs), {"pairs_per_map": pairs}
+        for batch in _batches(trials):
+            g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng, count=len(batch)))
+            devs.append(np.max(sampling.metric_invariance_check(g, pairs, rng)))
+    return np.max(devs, initial=0.0), pairs * 2 * trials, {"pairs_per_map": pairs}
 
 
 @check("haar", "haar.uniformity", above=sampling.SIGNIFICANCE)

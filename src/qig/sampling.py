@@ -64,19 +64,21 @@ def metric_invariance_check(g, pairs, rng):
     before and after applying the map.  For an
     antiunitary map both endpoints are conjugated, so the displacement
     is the pushforward of the pair, not an independently conjugated
-    tangent vector.
+    tangent vector.  A stack of maps gets ``pairs`` pairs per map, drawn
+    as (pairs, ..., N) arrays, and returns an array of the stack shape.
     """
-    if not g.is_gauge_invariant:
+    if not np.all(g.is_gauge_invariant):
         raise ValueError("map must be unitary or antiunitary")
-    n = g.v.shape[0]
-    v = sample_uniform(n, pairs, rng)
-    x = rng.normal(size=(pairs, 2, n))  # per pair: Re dv, then Im dv
-    dv = x[:, 0] + 1j * x[:, 1]
-    w = v + DISPLACEMENT * dv / np.linalg.norm(dv, axis=1, keepdims=True)
-    w = w / np.linalg.norm(w, axis=1, keepdims=True)
-    before = np.sum(np.abs(w - v) ** 2, axis=1)
-    after = np.sum(np.abs(apply(g, w) - apply(g, v)) ** 2, axis=1)
-    return float(np.max(np.abs(after - before) / before, initial=0.0))
+    *stack, n = g.v.shape[:-1]
+    v = sample_uniform(n, pairs * int(np.prod(stack)), rng).reshape(pairs, *stack, n)
+    x = rng.normal(size=(pairs, *stack, 2, n))  # per pair: Re dv, then Im dv
+    dv = x[..., 0, :] + 1j * x[..., 1, :]
+    w = v + DISPLACEMENT * dv / np.linalg.norm(dv, axis=-1, keepdims=True)
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    before = np.sum(np.abs(w - v) ** 2, axis=-1)
+    after = np.sum(np.abs(apply(g, w) - apply(g, v)) ** 2, axis=-1)
+    worst = np.max(np.abs(after - before) / before, axis=0, initial=0.0)
+    return worst if stack else float(worst)
 
 
 def _uniformity_pvalues(states, bins):
@@ -112,8 +114,8 @@ def measure_invariance_check(g, samples, bins, rng):
 
     See :func:`pushforward_uniformity` for the test and its result.
     """
-    if not g.is_gauge_invariant:
-        raise ValueError("map must be unitary or antiunitary")
+    if np.ndim(g.v) != 2 or not g.is_gauge_invariant:
+        raise ValueError("need one map, unitary or antiunitary, not a stack")
     return pushforward_uniformity(lambda s: apply(g, s), g.v.shape[0], samples, bins, rng)
 
 

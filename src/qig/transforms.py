@@ -8,7 +8,8 @@ scaled reflection-rotation (sigma = -1), with a single sigma shared by
 all nonzero blocks.  Reading each block as a complex number alpha
 e^{i phi} turns M into a unitary matrix V (sigma = +1) or a unitary
 followed by entrywise conjugation, V K (sigma = -1): Wigner's
-alternative, obtained here by direct classification.
+alternative, obtained here by direct classification.  Leading axes hold
+a stack of matrices or maps, and every function here acts on each.
 """
 
 from dataclasses import dataclass
@@ -26,17 +27,17 @@ REJECTED = "not_gauge_invariant"
 KINDS = np.array([REJECTED, "unitary", "antiunitary"])
 
 
-def as_orthogonal(m, stacked=False):
-    """Validate real m, or a stack (..., 2N, 2N) if ``stacked``: m.T m = I within ORTHO_TOL."""
-    m = _as_block_matrix(m, stacked)
+def as_orthogonal(m):
+    """Validate real m, or a stack (..., 2N, 2N) of them: m.T m = I within ORTHO_TOL."""
+    m = _as_block_matrix(m)
     _check_residual(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1]), "orthogonal")
     return m
 
 
-def _as_block_matrix(m, stacked=False):
-    """Real m as a float 2N x 2N matrix, or a stack (..., 2N, 2N) of them if ``stacked``."""
+def _as_block_matrix(m):
+    """Real m as a float 2N x 2N matrix, or a stack (..., 2N, 2N) of them."""
     m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if m.shape[-1] % 2 != 0:
         raise ValueError("matrix dimension must be even (2N)")
@@ -58,7 +59,9 @@ class GaugeMap:
     ``kind`` is "unitary", "antiunitary", or "not_gauge_invariant".
     For the first two, ``v`` is the N x N unitary matrix; an
     antiunitary map acts as v -> V conj(v).  For a rejection, ``v`` is
-    None and ``diagnostic`` names the first violated condition.
+    None and ``diagnostic`` names the first violated condition.  A stack
+    has ``v`` (..., N, N), zero where rejected, ``kind`` (and so
+    ``is_gauge_invariant``) a str array (...) or one str for all, and no diagnostic.
     """
 
     kind: str
@@ -67,11 +70,26 @@ class GaugeMap:
 
     @property
     def is_gauge_invariant(self):
-        return self.kind in ("unitary", "antiunitary")
+        return (self.kind == "unitary") | (self.kind == "antiunitary")
+
+
+def _antiunitary(g, verb):
+    """Whether ``g`` is antiunitary, per map for an array of kinds; raises on a rejection."""
+    ok = g.is_gauge_invariant
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise ValueError(f"cannot {verb} a non-gauge-invariant verdict")
+    return g.kind == "antiunitary"
+
+
+def _where(anti, yes, no, core):
+    """``yes`` where ``anti`` else ``no``, per map over ``core`` trailing axes of the values."""
+    if isinstance(anti, bool):  # one kind: a branch, far cheaper than np.where
+        return yes if anti else no
+    return np.where(anti.reshape(anti.shape + (1,) * core), yes, no)
 
 
 def block_decomposition(m):
-    """Per-block (alpha, phi, sigma) arrays of a 2N x 2N matrix.
+    """Per-block (alpha, phi, sigma) arrays (..., N, N) of a 2N x 2N matrix or a stack.
 
     alpha >= 0 is the block scale, phi in [0, 2pi) its angle (zero for a
     zero block), sigma +1/-1 the block kind with 0 marking a zero block
@@ -79,17 +97,17 @@ def block_decomposition(m):
     block that is not a scaled (reflection-)rotation within ``BLOCK_TOL``.
     """
     m = _as_block_matrix(m)
-    alpha, phi, sigma, fault = decompose_blocks(m)
+    alpha, phi, sigma, fault = _decompose(m)
     if fault.any():
         raise ValueError(_fault_message(m, fault))
     return alpha, phi, sigma
 
 
-def decompose_blocks(m):
-    """Batch kernel of :func:`block_decomposition` for a stack (..., 2N, 2N).
+def _decompose(m):
+    """alpha, phi, sigma and ``fault``, each (..., N, N), of a stack (..., 2N, 2N).
 
-    Returns alpha, phi, sigma and ``fault``, each (..., N, N); ``fault`` is 1 where a
-    block's column norms differ, else 2 where its columns are not orthogonal, else 0.
+    ``fault`` is 1 where a block's column norms differ, else 2 where its
+    columns are not orthogonal, else 0.
     """
     b00, b01, b10, b11 = (m[..., r::2, c::2] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
     a, b, g = b00**2 + b10**2, b01**2 + b11**2, b00 * b01 + b10 * b11
@@ -102,44 +120,39 @@ def decompose_blocks(m):
 
 
 def _fault_message(m, fault):
-    """Name the first faulty block of one matrix, in row-major order."""
-    k, i = np.argwhere(fault)[0]
-    (b00, b01), (b10, b11) = m[2 * k:2 * k + 2, 2 * i:2 * i + 2]
-    if fault[k, i] == 1:
-        return (f"block ({k}, {i}): column norms differ "
+    """Name the first faulty block in row-major order, and its matrix if ``m`` is a stack."""
+    *at, k, i = map(int, np.argwhere(fault)[0])
+    (b00, b01), (b10, b11) = m[(*at, slice(2 * k, 2 * k + 2), slice(2 * i, 2 * i + 2))]
+    where = f"matrix {tuple(at)}, block ({k}, {i})" if at else f"block ({k}, {i})"
+    if fault[(*at, k, i)] == 1:
+        return (f"{where}: column norms differ "
                 f"(alpha={b00**2 + b10**2:g}, beta={b01**2 + b11**2:g})")
-    return f"block ({k}, {i}): columns not orthogonal (gamma={b00 * b01 + b10 * b11:g})"
+    return f"{where}: columns not orthogonal (gamma={b00 * b01 + b10 * b11:g})"
 
 
 def classify(m):
     """Decide whether an orthogonal matrix respects global gauge invariance.
 
     Returns a unitary or antiunitary :class:`GaugeMap` when it does, or
-    a rejection naming the first violated condition.
+    a rejection naming the first violated condition.  For a stack
+    (..., 2N, 2N) it returns one stacked map: ``kind`` names (...), ``v``
+    (..., N, N) zero where rejected, and no diagnostic.
     """
-    if np.ndim(m) > 2:
-        raise ValueError("matrix must be square")
-    kind, v, _, fault = classify_batch(m)
-    if kind != REJECTED:
-        return GaugeMap(kind=str(kind), v=v)
-    if fault.any():
-        return GaugeMap(kind=REJECTED, diagnostic=_fault_message(np.asarray(m, float), fault))
-    return GaugeMap(kind=REJECTED,
-                    diagnostic="mixed block kinds: rotation and reflection blocks coexist")
-
-
-def classify_batch(m):
-    """:func:`classify` for a stack (..., 2N, 2N) of matrices, validated once.
-
-    Returns the kind names (...), the matrices ``v`` (..., N, N), zero where
-    rejected, and the blocks' sigma and fault codes from :func:`decompose_blocks`.
-    """
-    alpha, phi, sigma, fault = decompose_blocks(as_orthogonal(m, stacked=True))
+    m = as_orthogonal(m)
+    alpha, phi, sigma, fault = _decompose(m)
     rotation = (sigma > 0).any(axis=(-2, -1))
     reflection = (sigma < 0).any(axis=(-2, -1))
     ok = (rotation != reflection) & ~fault.any(axis=(-2, -1))
-    v = np.where(ok[..., None, None], alpha * np.exp(1j * phi), 0.0)
-    return KINDS[ok * (1 + reflection)], v, sigma, fault
+    if m.ndim > 2:  # no diagnostic, and no exp for the blocks of rejected matrices
+        v = np.zeros(alpha.shape, dtype=complex)
+        v[ok] = alpha[ok] * np.exp(1j * phi[ok])
+        return GaugeMap(kind=KINDS[ok * (1 + reflection)], v=v)
+    if ok:
+        return GaugeMap(kind=str(KINDS[1 + reflection]), v=alpha * np.exp(1j * phi))
+    if fault.any():
+        return GaugeMap(kind=REJECTED, diagnostic=_fault_message(m, fault))
+    return GaugeMap(kind=REJECTED,
+                    diagnostic="mixed block kinds: rotation and reflection blocks coexist")
 
 
 def realify_unitary(v):
@@ -164,12 +177,8 @@ def _realify_blocks(v, sign):
 
 
 def realify(g):
-    """Orthogonal realization of a gauge map."""
-    if g.kind == "unitary":
-        return realify_unitary(g.v)
-    if g.kind == "antiunitary":
-        return realify_antiunitary(g.v)
-    raise ValueError("cannot realify a non-gauge-invariant verdict")
+    """Orthogonal realization of a gauge map, or (..., 2N, 2N) of a stack of them."""
+    return _realify_blocks(_as_unitary(g.v), _where(_antiunitary(g, "realify"), -1.0, 1.0, 2))
 
 
 def _as_unitary(v):
@@ -182,61 +191,49 @@ def _as_unitary(v):
 
 
 def apply(g, v):
-    """Act with a gauge map on a state or on rows (..., N): Vv, or V conj(v) if antiunitary."""
-    if not g.is_gauge_invariant:
-        raise ValueError("cannot apply a non-gauge-invariant verdict to a state")
+    """Act with a gauge map on states (..., N): Vv, or V conj(v) if antiunitary.
+
+    One map acts on every state; a stack of maps acts on states broadcast
+    against its stack axes.
+    """
     v = np.asarray(v, dtype=complex)
-    return (v.conj() if g.kind == "antiunitary" else v) @ g.v.T
+    v = _where(_antiunitary(g, "apply"), v.conj(), v, 1)
+    if g.v.ndim == 2:  # one matrix product for all rows: faster than a stack of products
+        return v @ g.v.T
+    return (v[..., None, :] @ np.swapaxes(g.v, -1, -2))[..., 0, :]
 
 
 def compose(g1, g2):
-    """The gauge map acting as g1 after g2."""
-    if not (g1.is_gauge_invariant and g2.is_gauge_invariant):
-        raise ValueError("cannot compose non-gauge-invariant verdicts")
-    anti1 = g1.kind == "antiunitary"
-    anti2 = g2.kind == "antiunitary"
-    v2 = g2.v.conj() if anti1 else g2.v
-    kind = "antiunitary" if anti1 != anti2 else "unitary"
-    return GaugeMap(kind=kind, v=g1.v @ v2)
+    """The gauge map acting as g1 after g2, map by map for stacks."""
+    anti1, anti2 = _antiunitary(g1, "compose"), _antiunitary(g2, "compose")
+    v2 = _where(anti1, g2.v.conj(), g2.v, 2)
+    return GaugeMap(kind=_where(anti1 != anti2, "antiunitary", "unitary", 0), v=g1.v @ v2)
 
 
 def gauge_invariance_witness(m, trials=20, *, rng):
     """Direct numerical test of the gauge-invariance property of ``m``.
 
-    Samples random states and global phase shifts from the generator
-    ``rng``, and compares the result probabilities of M Q(phi) with those
-    of M Q(phi + phi0).  Returns (max_deviation < ``WITNESS_TOL``,
-    max_deviation).  Independent of :func:`classify`: no block structure
-    is consulted.
+    Samples ``trials`` random states and global phase shifts from the
+    generator ``rng`` and compares the result probabilities of M Q(phi)
+    with those of M Q(phi + phi0).  Returns (max_deviation <
+    ``WITNESS_TOL``, max_deviation).  Independent of :func:`classify`: no
+    block structure is consulted.  A stack (..., 2N, 2N) gets ``trials``
+    draws per matrix, all real parts, then all imaginary parts, then all
+    phases, and returns arrays (...).
     """
     m = as_orthogonal(m)
-    worst = float(witness_deviation(m, *witness_draws(m.shape[0] // 2, trials, rng)))
-    return worst < WITNESS_TOL, worst
-
-
-def witness_draws(n, trials, rng):
-    """States z (*shape, n) and phases phi0 (shape) for a count or batch shape ``trials``.
-
-    Draws all real parts, then all imaginary parts, then all phases.
-    """
-    shape = tuple(np.atleast_1d(trials))
-    x = rng.normal(size=(2, *shape, n))
-    return x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
-
-
-def witness_deviation(m, z, phi0):
-    """Batch kernel of :func:`gauge_invariance_witness`, per matrix of ``m`` (..., 2N, 2N).
-
-    For states ``z`` (..., T, N) and phases ``phi0`` (..., T), the largest change
-    of a result probability of M Q(v) under v -> e^{i phi0} v over the T trials.
-    """
+    shape = (*m.shape[:-2], trials)
+    x = rng.normal(size=(2, *shape, m.shape[-1] // 2))
+    z, phi0 = x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
     v = z / np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))[..., None]
     w = np.stack([v, np.exp(1j * phi0)[..., None] * v])  # each state, then its shift
     q = np.stack([w.real, w.imag], axis=-1).reshape(*w.shape[:-1], m.shape[-1])  # real forms
     mq = (m[..., None, :, :] @ q[..., None])[..., 0]
     P = (mq / np.sqrt(_dot(mq, mq))[..., None]) ** 2
     p = (P / P.sum(axis=-1, keepdims=True)).reshape(*P.shape[:-1], z.shape[-1], 2).sum(axis=-1)
-    return np.abs(p[0] - p[1]).max(axis=(-2, -1), initial=0.0)
+    worst = np.abs(p[0] - p[1]).max(axis=(-2, -1), initial=0.0)
+    worst = worst if worst.ndim else float(worst)
+    return worst < WITNESS_TOL, worst
 
 
 def _dot(x, y):

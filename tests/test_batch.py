@@ -1,16 +1,15 @@
-"""Batch kernels against their scalar calls, planted defects, and validate-once.
+"""Stacked calls against their scalar calls, planted defects, and validate-once.
 
-The stacked kernels (``classify_batch``, ``witness_deviation``,
-``simulate_batch``, stacked Haar draws, ``apply`` on rows,
-``metric_invariance_check``) and the library functions that take leading
-axes in place (states, phase representations, bases, observables,
-composition, evolution) must give what the scalar calls or the loops
-they replaced give element by element, and the functions of one state
-must reject a stack; each rewritten ``classify.*``/``simulate.*``/
-``born.*``/``compose.*`` check and the first two ``metric.*`` checks must
-fail on a planted defect, with its margin on the failing side of 1; a
-kernel that returns NaN must fail the checks that call it; and no check
-may validate its inputs once per trial.
+The library functions that take leading axes in place (gauge maps and
+their classification, the gauge-invariance witness, states, phase
+representations, bases, observables, composition, evolution,
+Hamilton-Jacobi ensembles, ``metric_invariance_check``), ``simulate_batch``
+and stacked Haar draws must give what the scalar calls or the loops they
+replaced give element by element, and the functions of one state must
+reject a stack; each rewritten check must fail on a planted defect, with
+its margin on the failing side of 1; a kernel that returns NaN must fail
+the checks that call it; and no check may validate its inputs once per
+trial.  No public function takes a ``stacked`` flag.
 """
 
 import collections
@@ -107,7 +106,9 @@ def stacks(draw):
 @given(stacks())
 def test_classify_batch_matches_scalar_and_reference(stack):
     ms, shapes = stack
-    kind, v, _, _ = transforms.classify_batch(ms)
+    whole = transforms.classify(ms)
+    kind, v = whole.kind, whole.v
+    assert whole.diagnostic is None
     assert kind.shape == ms.shape[:1] and v.shape == (len(ms), ms.shape[1] // 2, ms.shape[1] // 2)
     for k, (m, shape) in enumerate(zip(ms, shapes)):
         g = transforms.classify(m)
@@ -137,9 +138,13 @@ def test_each_diagnostic_is_reachable():
         "block (0, 0): columns not orthogonal (gamma=0.5)")
     with pytest.raises(ValueError, match=r"block \(0, 0\): .* \(alpha=1, beta=0\)"):
         transforms.block_decomposition(np.eye(4)[[0, 2, 1, 3]])
+    # a stack names the first faulty block of its first faulty matrix
+    stacked = np.stack([np.eye(4), np.eye(4), OVERLAP, np.eye(4)[[0, 2, 1, 3]]]).reshape(2, 2, 4, 4)
+    with pytest.raises(ValueError, match=r"^matrix \(1, 0\), block \(0, 0\): columns not orth"):
+        transforms.block_decomposition(stacked)
 
 
-@pytest.mark.parametrize("m", [np.eye(3), np.ones((4, 2)), np.eye(4)[None], np.ones(4)])
+@pytest.mark.parametrize("m", [np.eye(3), np.ones((4, 2)), np.ones((2, 4, 2)), np.ones(4)])
 def test_block_decomposition_rejects_bad_shapes(m):
     with pytest.raises(ValueError, match="square|even"):
         transforms.block_decomposition(m)
@@ -148,10 +153,8 @@ def test_block_decomposition_rejects_bad_shapes(m):
 def test_validators_reject_nan_and_check_stacks():
     with pytest.raises(ValueError, match="not orthogonal"):
         transforms.classify(np.full((2, 2), np.nan))
-    with pytest.raises(ValueError, match="matrix must be square"):
-        transforms.classify(np.stack([np.eye(2)] * 2))
     with pytest.raises(ValueError, match="residual 4.24264"):
-        transforms.classify_batch(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+        transforms.classify(np.stack([np.eye(2), 2.0 * np.eye(2)]))
     # a validator takes a stack (..., N) of states; a scalar has no state axis
     with pytest.raises(ValueError, match="nonempty"):
         qspace.as_pure_state(1.0)
@@ -174,27 +177,51 @@ def test_stacked_haar_draws_equal_single_draws(n):
 def test_witness_stack_equals_single_calls():
     rng = np.random.default_rng(1)
     ms = np.array([make_matrix(shape, 3, rng) for shape in SHAPES])
-    draws = [transforms.witness_draws(3, 8, np.random.default_rng(k)) for k in range(len(ms))]
-    dev = transforms.witness_deviation(ms, np.array([z for z, _ in draws]),
-                                       np.array([phi0 for _, phi0 in draws]))
     for k, m in enumerate(ms):
         passed, single = transforms.gauge_invariance_witness(
             m, trials=8, rng=np.random.default_rng(k))
-        assert single == dev[k] and passed == (dev[k] < transforms.WITNESS_TOL)
+        # a stack of one row draws what the scalar call draws
+        row_passed, row = transforms.gauge_invariance_witness(
+            m[None], trials=8, rng=np.random.default_rng(k))
+        assert row.shape == row_passed.shape == (1,)
+        assert row[0] == single and row_passed[0] == passed
+    passed, dev = transforms.gauge_invariance_witness(ms, trials=8, rng=rng)
+    assert dev.shape == (len(SHAPES),)
+    assert_array_equal(passed, dev < transforms.WITNESS_TOL)
+
+
+class ReplayRng:
+    """Stands in for a generator in the witness: hands out given normals and uniforms."""
+
+    def __init__(self, x, phi0):
+        self.x, self.phi0 = x, phi0
+
+    def normal(self, size):
+        assert size == self.x.shape
+        return self.x
+
+    def uniform(self, low, high, size):
+        assert size == self.phi0.shape
+        return self.phi0
 
 
 def test_witness_draws_take_a_count_or_a_batch_shape():
     rng = np.random.default_rng(4)
-    z, phi0 = transforms.witness_draws(3, (4, 5), rng)
-    assert z.shape == (4, 5, 3) and phi0.shape == (4, 5)
-    assert ((phi0 >= 0) & (phi0 < 2 * np.pi)).all()
+    ms = np.array([make_matrix(shape, 3, rng) for shape in SHAPES[:6]]).reshape(2, 3, 6, 6)
+    passed, dev = transforms.gauge_invariance_witness(ms, trials=5, rng=rng)
+    assert dev.shape == passed.shape == (2, 3)
     # one array of real parts, then one of imaginary parts, then one of phases
     ref = np.random.default_rng(4)
-    x = ref.normal(size=(2, 4, 5, 3))
-    assert_array_equal(z, x[0] + 1j * x[1])
-    assert_array_equal(phi0, ref.uniform(0.0, 2 * np.pi, (4, 5)))
-    z, phi0 = transforms.witness_draws(3, 7, rng)
-    assert z.shape == (7, 3) and phi0.shape == (7,)
+    for shape in SHAPES[:6]:  # the matrices' draws
+        make_matrix(shape, 3, ref)
+    x = ref.normal(size=(2, 2, 3, 5, 3))
+    phi0 = ref.uniform(0.0, 2 * np.pi, (2, 3, 5))
+    assert rng.random() == ref.random()  # both generators are left in the same state
+    for i in range(2):
+        for j in range(3):
+            replay = ReplayRng(x[:, i, j], phi0[i, j])
+            assert transforms.gauge_invariance_witness(ms[i, j], 5, rng=replay) == (
+                passed[i, j], dev[i, j])
 
 
 @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
@@ -308,13 +335,19 @@ SMALL = harness.Settings(trials={"classify": 60, "simulate": 2000})
 DET_FLIP = ("sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live",
             "sigma = np.where(b00 * b11 - b01 * b10 > 0, -1, 1) * live")
 MUTANTS = {
-    "det sign flip": (transforms, *DET_FLIP, ["classify.roundtrip"]),
+    "det sign flip": (
+        transforms, *DET_FLIP, ["classify.roundtrip", "dynamics.unitary_evolution"]),
     "witness ignores phi0": (
         transforms, "w = np.stack([v, np.exp(1j * phi0)[..., None] * v])",
         "w = np.stack([v, v])", ["classify.rejects_generic", "classify.witness_agreement"]),
     "swapped composition conjugation": (
-        harness, "v1 @ np.where(anti1, v2.conj(), v2)", "v1 @ np.where(anti2, v2.conj(), v2)",
-        ["classify.composition"]),
+        transforms, "v2 = _where(anti1, g2.v.conj(), g2.v, 2)",
+        "v2 = _where(anti2, g2.v.conj(), g2.v, 2)", ["classify.composition"]),
+    "non-unitary apply": (
+        transforms, "np.swapaxes(g.v, -1, -2)", "np.swapaxes(g.v.real, -1, -2)",
+        ["haar.metric_invariance"]),
+    "S = -alpha chi": (
+        dynamics, "state.S / alpha", "-state.S / alpha", ["dynamics.correspondence"]),
     "|amp| as the Born probability": (
         measurement, "p = np.abs((arr.U @ v[..., None])[..., 0]) ** 2",
         "p = np.abs((arr.U @ v[..., None])[..., 0])", ["simulate.frequencies"]),
@@ -347,16 +380,15 @@ MUTANTS = {
 def run_with(monkeypatch, module, old, new, names):
     """Run the named checks at ``SMALL`` settings against a mutated copy of ``module``."""
     copy = mutant(monkeypatch, module, old, new)
-    runner = harness
-    if module is harness:
-        runner = copy
-        checks = {e[0]: (s, e) for s, entries in copy.SUITES.items() for e in entries}
-    else:
-        monkeypatch.setattr(harness, module.__name__.rsplit(".", 1)[1], copy)
-        # and for imports made at call time, such as composite's of dynamics
-        monkeypatch.setitem(sys.modules, module.__name__, copy)
-        checks = CHECKS
-    return {name: runner.run_check(*checks[name], SMALL) for name in names}
+    monkeypatch.setattr(harness, module.__name__.rsplit(".", 1)[1], copy)
+    # and for imports made at call time, such as composite's of dynamics
+    monkeypatch.setitem(sys.modules, module.__name__, copy)
+    # and for functions imported by name, such as sampling's apply
+    for other in set(MODULES) - {module}:
+        for attr, obj in list(vars(other).items()):
+            if isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__:
+                monkeypatch.setattr(other, attr, getattr(copy, obj.__name__))
+    return {name: harness.run_check(*CHECKS[name], SMALL) for name in names}
 
 
 @pytest.mark.parametrize("defect", MUTANTS)
@@ -376,8 +408,10 @@ NAN_KERNELS = {
     (measurement, "born_probs"): (lambda v, basis: np.full(np.shape(v), np.nan),
                                   ["born.exact", "compose.born_factorization"]),
     (simplex, "info_metric_ds2"): (lambda p, dp: np.nan, ["metric.pullback", "metric.geodesic"]),
-    (transforms, "witness_deviation"): (lambda m, z, phi0: np.full(np.shape(m)[:-2], np.nan),
-                                        ["classify.rejects_generic"]),
+    (transforms, "gauge_invariance_witness"): (
+        lambda m, trials, *, rng: (np.zeros(np.shape(m)[:-2], bool),
+                                   np.full(np.shape(m)[:-2], np.nan)),
+        ["classify.rejects_generic", "classify.witness_agreement"]),
     (sampling, "metric_invariance_check"): (lambda *args, **kwargs: np.nan,
                                             ["haar.metric_invariance"]),
     (composite, "energy_additivity_check"): (lambda *args, **kwargs: np.nan,
@@ -519,6 +553,16 @@ def draw_tangent(rng, p):
     return dp - np.where(p > 0, dp.sum() / np.count_nonzero(p), 0.0)
 
 
+def draw_gauge_map(rng, n=3):
+    return transforms.GaugeMap(kind=str(rng.choice(["unitary", "antiunitary"])),
+                               v=sampling.haar_unitary(n, rng))
+
+
+def draw_ensemble(rng, n=5):
+    return dynamics.HJGridState(h=0.1, x0=-0.2, P=draw_prob(rng, n), S=rng.normal(size=n),
+                                m=1.0, V=rng.normal(size=n))
+
+
 # function -> (the function, a draw of one row of its arguments); leading axes
 # on every argument must give the row-by-row results
 STACKABLE = {
@@ -583,6 +627,24 @@ STACKABLE = {
     "dynamics.evolve_stationary": (
         lambda rep, energy, dt: dynamics.evolve_stationary(rep, energy, dt, 1.5),
         lambda rng: (draw_rep(rng), rng.normal(scale=3.0), rng.uniform(0, 2))),
+    "dynamics.HJGridState": (
+        lambda P, S, V: dynamics.HJGridState(h=0.1, x0=-0.2, P=P, S=S, m=1.0, V=V),
+        lambda rng: (draw_prob(rng, 5), rng.normal(size=5), rng.normal(size=5))),
+    "dynamics.hj_stationary_step": (
+        dynamics.hj_stationary_step,
+        lambda rng: (draw_ensemble(rng), rng.normal(scale=2.0), rng.uniform(0, 3))),
+    "dynamics.phase_rep_from_hj": (
+        lambda state: dynamics.phase_rep_from_hj(state, 1.5), lambda rng: (draw_ensemble(rng),)),
+    # accepted maps only: a rejected map has v None alone but zeros in a stack
+    "transforms.classify": (
+        transforms.classify, lambda rng: (transforms.realify(draw_gauge_map(rng)),)),
+    "transforms.block_decomposition": (
+        transforms.block_decomposition,
+        lambda rng: (transforms.realify(draw_gauge_map(rng)),)),
+    "transforms.realify": (transforms.realify, lambda rng: (draw_gauge_map(rng),)),
+    "transforms.apply": (transforms.apply, lambda rng: (draw_gauge_map(rng), draw_state(rng))),
+    "transforms.compose": (
+        transforms.compose, lambda rng: (draw_gauge_map(rng), draw_gauge_map(rng))),
 }
 
 
@@ -597,6 +659,13 @@ def stack(items):
     if isinstance(first, measurement.Observable):
         return measurement.Observable(basis=stack([x.basis for x in items]),
                                       values=np.stack([x.values for x in items]))
+    if isinstance(first, transforms.GaugeMap):
+        return transforms.GaugeMap(kind=np.stack([x.kind for x in items]),
+                                   v=np.stack([x.v for x in items]))
+    if isinstance(first, dynamics.HJGridState):
+        return dynamics.HJGridState(h=first.h, x0=first.x0, P=stack([x.P for x in items]),
+                                    S=stack([x.S for x in items]), m=first.m,
+                                    V=stack([x.V for x in items]))
     return np.stack(items)
 
 
@@ -610,6 +679,12 @@ def fields(out):
         return out.basis.vectors, out.values
     if isinstance(out, measurement.SimulationArrangement):
         return out.basis.vectors, out.U, out.V
+    if isinstance(out, transforms.GaugeMap):
+        return np.asarray(out.kind), out.v
+    if isinstance(out, dynamics.HJGridState):
+        return out.P, out.S, out.V
+    if isinstance(out, tuple):
+        return out
     return (np.asarray(out),)
 
 
@@ -637,6 +712,13 @@ def test_scalar_calls_keep_their_types():
     assert type(measurement.expected_value(draw_state(rng), obs)) is float
     assert type(composite.energy_additivity_check(s1, s2, 1.0, 2.0, 0.5, 1.0)) is float
     assert type(obs.is_degenerate) is bool
+    g = transforms.classify(transforms.realify(draw_gauge_map(rng)))
+    rejected = transforms.classify(sampling.haar_orthogonal(6, rng))
+    assert type(g.kind) is str and type(rejected.kind) is str and rejected.v is None
+    assert type(g.is_gauge_invariant) is bool and type(rejected.is_gauge_invariant) is bool
+    for m in (transforms.realify(g), sampling.haar_orthogonal(6, rng)):
+        passed, deviation = transforms.gauge_invariance_witness(m, 8, rng=rng)
+        assert type(passed) is bool and type(deviation) is float
 
 
 def test_functions_of_one_state_reject_stacks():
@@ -660,6 +742,13 @@ def test_functions_of_one_state_reject_stacks():
         measurement.simulate_batch(arr, v[0], rng.random(4))
     with pytest.raises(ValueError, match="one arrangement"):
         measurement.simulate_measurement(arr, v[0], rng)
+    ensembles = dynamics.HJGridState(h=0.1, x0=0.0, P=np.full((2, 6), 1 / 6),
+                                     S=np.zeros((2, 6)), m=1.0)
+    with pytest.raises(ValueError, match="one ensemble per time"):
+        dynamics.hj_residual(lambda t: ensembles, 1.0, 0.1)
+    maps = transforms.GaugeMap(kind="unitary", v=sampling.haar_unitary(3, rng, count=2))
+    with pytest.raises(ValueError, match="one map"):
+        sampling.measure_invariance_check(maps, 100, bins=5, rng=rng)
 
 
 # -------------------------------------------------------- phase representation
@@ -682,12 +771,31 @@ def test_phase_rep_copies_p():
 
 
 def test_empty_stacks():
-    kind, v, _, _ = transforms.classify_batch(np.zeros((0, 4, 4)))
-    assert kind.shape == (0,) and v.shape == (0, 2, 2)
-    z, phi0 = transforms.witness_draws(2, 0, np.random.default_rng(0))
-    assert transforms.witness_deviation(np.eye(4), z, phi0) == 0.0
-    empty = transforms.witness_deviation(np.zeros((0, 4, 4)), np.zeros((0, 8, 2)), np.zeros((0, 8)))
-    assert empty.shape == (0,)
+    g = transforms.classify(np.zeros((0, 4, 4)))
+    assert g.kind.shape == (0,) and g.v.shape == (0, 2, 2)
+    assert transforms.gauge_invariance_witness(np.eye(4), 0, rng=np.random.default_rng(0)) == (
+        True, 0.0)
+    passed, empty = transforms.gauge_invariance_witness(
+        np.zeros((0, 4, 4)), 8, rng=np.random.default_rng(0))
+    assert passed.shape == empty.shape == (0,)
     arr = measurement.build_simulation(measurement.MeasurementBasis.standard(2))
     i, out = measurement.simulate_batch(arr, np.zeros((0, 2)), np.zeros(0))
     assert i.shape == (0,) and out.shape == (0, 2)
+
+
+def test_no_public_function_takes_a_stacked_flag():
+    # leading axes are taken in place: a flag would bring back a second implementation
+    found = []
+    for module in (getattr(qig, name) for name in qig.__all__):
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or getattr(obj, "__module__", None) != module.__name__
+                    or isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            members = [(name, obj)]
+            if isinstance(obj, type):
+                members += [(f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                            if callable(member) and not attr.startswith("_")]
+            for label, fn in members:
+                if callable(fn) and "stacked" in inspect.signature(fn).parameters:
+                    found.append(f"{module.__name__}.{label}")
+    assert found == []

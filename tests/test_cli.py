@@ -190,3 +190,13 @@ def test_trials_reach_every_declared_count(suite, capsys):
     for name, _, default_trials, *_ in SUITES[suite]:
         if default_trials is not None:
             assert counts[0][name] != counts[1][name], name
+
+
+def test_one_trial_runs_every_check(capsys):
+    # a check that halves its trial count rounds up, so --trials 1 runs one or more samples
+    code, out = run_cli(["all", "--trials", "1"], capsys)
+    reports, summary = parse_reports(out)
+    assert [r["check"] for r in reports if r["trials"] == 0 or r["status"] == "error"] == []
+    # a grid of at most two points shows no variation; see CHANGES.md
+    assert [r["check"] for r in reports if r["status"] != "pass"] == ["measure.counterexamples"]
+    assert code == 1 and summary["error"] == 0
