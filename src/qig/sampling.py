@@ -8,10 +8,12 @@ standard normals from a caller's generator, ``sample_uniform(n, count,
 rng)``; a batch draws each kind of value as one array call, not sample by
 sample.  ``measure_invariance_check`` tests a gauge map;
 ``pushforward_uniformity`` tests any callable, as negative controls do.
+Their chi-squared p-values, and the two-sample Kolmogorov-Smirnov p-value
+of ``_ks_pvalue``, come from ``scipy.special``, imported on first use, so
+importing the package loads numpy alone.
 """
 
 import numpy as np
-from scipy import stats
 
 from .transforms import apply
 
@@ -103,10 +105,27 @@ def _uniformity_pvalues(states, bins):
 
 
 def _chi2_uniform(u, bins):
+    from scipy.special import chdtrc
+
     counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
     expected = u.size / bins
     stat = np.sum((counts - expected) ** 2 / expected)
-    return float(stats.chi2.sf(stat, df=bins - 1))
+    return float(chdtrc(bins - 1, stat))
+
+
+def _ks_pvalue(x, y):
+    """Two-sample Kolmogorov-Smirnov p-value of independent samples ``x`` and ``y``.
+
+    The statistic is D = max |F_x - F_y| over the pooled points; the
+    p-value is the asymptotic Kolmogorov tail at sqrt(n m / (n + m)) D.
+    """
+    from scipy.special import kolmogorov
+
+    x, y = np.sort(x), np.sort(y)
+    pooled = np.concatenate([x, y])
+    d = np.max(np.abs(np.searchsorted(x, pooled, "right") / x.size
+                      - np.searchsorted(y, pooled, "right") / y.size))
+    return float(kolmogorov(np.sqrt(x.size * y.size / (x.size + y.size)) * d))
 
 
 def measure_invariance_check(g, samples, bins, rng):

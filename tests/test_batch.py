@@ -374,6 +374,9 @@ MUTANTS = {
         simplex, "return 0.25 * np.sum(", "return np.sum(", ["metric.pullback"]),
     "|Q_q| as the outcome probability": (
         qspace, "P = q * q", "P = np.abs(q)", ["metric.qspace_euclidean"]),
+    "uniform draw with a doubled real part": (
+        sampling, "z = rng.normal(size=(count, n)) + 1j",
+        "z = 2 * rng.normal(size=(count, n)) + 1j", ["haar.uniformity"]),
 }
 
 

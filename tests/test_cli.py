@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qig
 from qig import cli
 from qig.harness import SUITES, overridable
 from qig.sampling import SIGNIFICANCE
@@ -200,3 +205,28 @@ def test_one_trial_runs_every_check(capsys):
     # a grid of at most two points shows no variation; see CHANGES.md
     assert [r["check"] for r in reports if r["status"] != "pass"] == ["measure.counterexamples"]
     assert code == 1 and summary["error"] == 0
+
+
+@pytest.mark.parametrize("argv", [None, ["metric", "--trials", "2"],
+                                  ["classify", "--trials", "2", "--n", "2"],
+                                  ["haar", "--trials", "2"]])
+def test_scipy_is_loaded_on_demand(argv):
+    # importing scipy.stats would be most of verify's start-up; only the haar
+    # p-values need scipy, and they import scipy.special when called
+    call = f"cli.main({argv!r})" if argv else "pass"
+    code = ("import contextlib, io, json, sys\n"
+            "from qig import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {call}\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    src = str(Path(qig.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    modules = json.loads(out)
+    if argv and argv[0] == "haar":
+        assert "scipy.special" in modules
+        assert [m for m in modules if m.startswith("scipy.stats")] == []
+    else:
+        assert modules == []
