@@ -377,6 +377,11 @@ MUTANTS = {
     "uniform draw with a doubled real part": (
         sampling, "z = rng.normal(size=(count, n)) + 1j",
         "z = 2 * rng.normal(size=(count, n)) + 1j", ["haar.uniformity"]),
+    "no branch flip at a turning point": (
+        measure, "s = -s", "s = s", ["measure.ode_vs_closed_form"]),
+    "second-order RK4 weights (1, 3, 1, 1) / 6": (
+        measure, "k1 + 2 * k2 + 2 * k3 + k4", "k1 + 3 * k2 + k3 + k4",
+        ["measure.ode_convergence"]),
 }
 
 
