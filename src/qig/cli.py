@@ -17,7 +17,10 @@ trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
 A key that is not a suite declaring the knob is an error (exit status 2;
 the message lists the valid keys), and so are a trial count below 1, a
 tolerance that is not a finite number > 0, and no dimension or one below
-2, from flags or the config file alike.  The statistical checks keep
+2, from flags or the config file alike.  So are a config file that cannot
+be read or parsed, or that is not a JSON object with an array of
+``dimensions`` and objects of ``trials`` and ``tolerances``, and an
+``--out`` path that cannot be written.  The statistical checks keep
 fixed sample sizes and bounds, because their false-alarm rate depends on
 them.
 """
@@ -73,6 +76,12 @@ def load_settings(args):
     if path:
         with open(path) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+    for key, kind, name in (("dimensions", list, "array"), ("trials", dict, "object"),
+                            ("tolerances", dict, "object")):
+        if not isinstance(config.get(key, kind()), kind):
+            raise ValueError(f"config {key} must be a JSON {name}, not {json.dumps(config[key])}")
     seed = args.seed if args.seed is not None else config.get("seed", 12345)
     dimensions = args.n if args.n is not None else tuple(config.get("dimensions", (2, 3, 4, 5)))
     trials = dict(config.get("trials", {}))
@@ -89,10 +98,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         settings = load_settings(args)
+    except OSError as exc:
+        parser.error(f"cannot read the config: {exc}")
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
-    stream = open(args.out, "w") if args.out else sys.stdout
+    try:
+        stream = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        parser.error(f"cannot write the report: {exc}")
 
     counts = {"pass": 0, "fail": 0, "error": 0}
     try:

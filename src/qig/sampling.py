@@ -15,6 +15,7 @@ importing the package loads numpy alone.
 
 import numpy as np
 
+from .qspace import TWO_PI
 from .transforms import apply
 
 
@@ -89,25 +90,52 @@ def _uniformity_pvalues(states, bins):
     For uniform states the per-component probability |v_i|^2 is
     Beta(1, N-1) distributed and pairwise relative phases are uniform
     on [0, 2pi); each statistic is transformed to [0, 1) by its CDF and
-    binned against equal expected counts.
+    binned against equal expected counts.  The phases come from one
+    ``arctan2`` over the sample, in turns, so a relative phase is a
+    difference of turns wrapped into [0, 1).
     """
     count, n = states.shape
     pvals = {}
     probs = np.abs(states) ** 2
     for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
-        u = 1.0 - (1.0 - probs[:, i]) ** (n - 1)
-        pvals[f"|v_{i}|^2"] = _chi2_uniform(u, bins)
+        u = 1.0 - probs[:, i]
+        u **= n - 1
+        pvals[f"|v_{i}|^2"] = _chi2_uniform(np.subtract(1.0, u, out=u), bins)
+    turns = np.arctan2(states.imag, states.real)
+    turns /= TWO_PI
     for i in range(n):
         for j in range(i + 1, n):
-            rel = np.angle(states[:, i] * states[:, j].conj()) % (2.0 * np.pi)
-            pvals[f"arg(v_{i}/v_{j})"] = _chi2_uniform(rel / (2.0 * np.pi), bins)
+            rel = turns[:, i] - turns[:, j]
+            rel += rel < 0.0
+            pvals[f"arg(v_{i}/v_{j})"] = _chi2_uniform(rel, bins)
     return pvals
 
 
 def _chi2_uniform(u, bins):
+    """Chi-squared p-value of the counts of ``u`` in ``bins`` equal bins of [0, 1].
+
+    Counts as ``np.histogram(u, bins, range=(0, 1))`` does: bin k is
+    [e_k, e_k+1) for the edges e = ``np.linspace(0, 1, bins + 1)``, 1.0
+    falls in the last bin, and NaN and values outside [0, 1] are not
+    counted (but still count in the expected ``u.size / bins``).
+    """
     from scipy.special import chdtrc
 
-    counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
+    u = np.asarray(u, dtype=float)
+    inside = u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0  # False on NaN
+    x = u if inside else u[(u >= 0.0) & (u <= 1.0)]
+    f = x * bins
+    k = f.astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    # within an ulp or so of an edge, floor(x * bins) can differ from the
+    # edge search: those few values (if any) take the search
+    f -= k
+    f -= 0.5
+    near = np.flatnonzero(np.abs(f, out=f) > 0.5 - 1e-9)
+    if near.size:
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        k[near] = np.minimum(np.searchsorted(edges, x[near], "right") - 1, bins - 1)
+    counts = np.bincount(k, minlength=bins)
     expected = u.size / bins
     stat = np.sum((counts - expected) ** 2 / expected)
     return float(chdtrc(bins - 1, stat))

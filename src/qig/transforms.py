@@ -115,7 +115,9 @@ def _decompose(m):
     live = ~(scale <= BLOCK_TOL)  # NaN blocks stay live
     fault = np.where(np.abs(a - b) > BLOCK_TOL, 1, np.where(np.abs(g) > BLOCK_TOL, 2, 0)) * live
     sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live
-    phi = np.where(live, np.arctan2(b10, b00) % TWO_PI, 0.0)
+    phi = np.arctan2(b10, b00)
+    phi += TWO_PI * (phi < 0.0)  # into [0, 2pi) as the floored % is, and -0.0 to +0.0
+    phi = np.where(live, phi, 0.0)
     return np.where(live, scale, 0.0), phi, sigma, fault
 
 
@@ -144,9 +146,8 @@ def classify(m):
     reflection = (sigma < 0).any(axis=(-2, -1))
     ok = (rotation != reflection) & ~fault.any(axis=(-2, -1))
     if m.ndim > 2:  # no diagnostic, and no exp for the blocks of rejected matrices
-        v = np.zeros(alpha.shape, dtype=complex)
-        v[ok] = alpha[ok] * np.exp(1j * phi[ok])
-        return GaugeMap(kind=KINDS[ok * (1 + reflection)], v=v)
+        v = np.exp(1j * phi, where=ok[..., None, None], out=np.zeros(alpha.shape, dtype=complex))
+        return GaugeMap(kind=KINDS[ok * (1 + reflection)], v=np.multiply(alpha, v, out=v))
     if ok:
         return GaugeMap(kind=str(KINDS[1 + reflection]), v=alpha * np.exp(1j * phi))
     if fault.any():
@@ -226,12 +227,14 @@ def gauge_invariance_witness(m, trials=20, *, rng):
     x = rng.normal(size=(2, *shape, m.shape[-1] // 2))
     z, phi0 = x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
     v = z / np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))[..., None]
-    w = np.stack([v, np.exp(1j * phi0)[..., None] * v])  # each state, then its shift
-    q = np.stack([w.real, w.imag], axis=-1).reshape(*w.shape[:-1], m.shape[-1])  # real forms
-    mq = (m[..., None, :, :] @ q[..., None])[..., 0]
-    P = (mq / np.sqrt(_dot(mq, mq))[..., None]) ** 2
-    p = (P / P.sum(axis=-1, keepdims=True)).reshape(*P.shape[:-1], z.shape[-1], 2).sum(axis=-1)
-    worst = np.abs(p[0] - p[1]).max(axis=(-2, -1), initial=0.0)
+    # per matrix, 2 * trials rows: each state, then each shifted state
+    w = np.concatenate([v, np.exp(1j * phi0)[..., None] * v], axis=-2)
+    # a complex row viewed as floats is its real form Q: one product per matrix
+    mq = w.view(float) @ np.swapaxes(m, -1, -2)
+    mq *= mq
+    p = mq[..., 0::2] + mq[..., 1::2]  # result i coarse-grains outcomes 2i and 2i + 1
+    p /= p.sum(axis=-1, keepdims=True)
+    worst = np.abs(p[..., :trials, :] - p[..., trials:, :]).max(axis=(-2, -1), initial=0.0)
     worst = worst if worst.ndim else float(worst)
     return worst < WITNESS_TOL, worst
 

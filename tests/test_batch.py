@@ -190,6 +190,43 @@ def test_witness_stack_equals_single_calls():
     assert_array_equal(passed, dev < transforms.WITNESS_TOL)
 
 
+def reference_witness(m, trials=20, *, rng):
+    """``gauge_invariance_witness`` with 2 * trials products per matrix, kept verbatim."""
+    _dot, TWO_PI, WITNESS_TOL = transforms._dot, transforms.TWO_PI, transforms.WITNESS_TOL
+    m = transforms.as_orthogonal(m)
+    shape = (*m.shape[:-2], trials)
+    x = rng.normal(size=(2, *shape, m.shape[-1] // 2))
+    z, phi0 = x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
+    v = z / np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))[..., None]
+    w = np.stack([v, np.exp(1j * phi0)[..., None] * v])  # each state, then its shift
+    q = np.stack([w.real, w.imag], axis=-1).reshape(*w.shape[:-1], m.shape[-1])  # real forms
+    mq = (m[..., None, :, :] @ q[..., None])[..., 0]
+    P = (mq / np.sqrt(_dot(mq, mq))[..., None]) ** 2
+    p = (P / P.sum(axis=-1, keepdims=True)).reshape(*P.shape[:-1], z.shape[-1], 2).sum(axis=-1)
+    worst = np.abs(p[0] - p[1]).max(axis=(-2, -1), initial=0.0)
+    worst = worst if worst.ndim else float(worst)
+    return worst < WITNESS_TOL, worst
+
+
+# deviations are differences of probabilities in [0, 1], so they differ from
+# the reference's in absolute terms: at most 2 eps over 2,000 seeds of SHAPES
+# stacks and scalars at n = 2..5
+WITNESS_GAP = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_witness_matches_reference(n):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        ms = np.array([make_matrix(shape, n, rng) for shape in SHAPES])
+        for m in (ms, ms.reshape(7, 1, 2 * n, 2 * n), *ms):  # stacks and each scalar
+            got = transforms.gauge_invariance_witness(m, 8, rng=np.random.default_rng(seed))
+            ref = reference_witness(m, 8, rng=np.random.default_rng(seed))
+            assert_array_equal(got[0], ref[0])  # the verdicts
+            assert type(got[1]) is type(ref[1])
+            assert_allclose(got[1], ref[1], rtol=0, atol=WITNESS_GAP)
+
+
 class ReplayRng:
     """Stands in for a generator in the witness: hands out given normals and uniforms."""
 
@@ -338,8 +375,9 @@ MUTANTS = {
     "det sign flip": (
         transforms, *DET_FLIP, ["classify.roundtrip", "dynamics.unitary_evolution"]),
     "witness ignores phi0": (
-        transforms, "w = np.stack([v, np.exp(1j * phi0)[..., None] * v])",
-        "w = np.stack([v, v])", ["classify.rejects_generic", "classify.witness_agreement"]),
+        transforms, "w = np.concatenate([v, np.exp(1j * phi0)[..., None] * v], axis=-2)",
+        "w = np.concatenate([v, v], axis=-2)",
+        ["classify.rejects_generic", "classify.witness_agreement"]),
     "swapped composition conjugation": (
         transforms, "v2 = _where(anti1, g2.v.conj(), g2.v, 2)",
         "v2 = _where(anti2, g2.v.conj(), g2.v, 2)", ["classify.composition"]),
@@ -377,6 +415,10 @@ MUTANTS = {
     "uniform draw with a doubled real part": (
         sampling, "z = rng.normal(size=(count, n)) + 1j",
         "z = 2 * rng.normal(size=(count, n)) + 1j", ["haar.uniformity"]),
+    "Beta CDF with exponent n": (sampling, "u **= n - 1", "u **= n", ["haar.uniformity"]),
+    "KS statistic of an unsorted x": (
+        sampling, "x, y = np.sort(x), np.sort(y)", "y = np.sort(y)",
+        ["haar.rotation_invariance"]),
     "no branch flip at a turning point": (
         measure, "s = -s", "s = s", ["measure.ode_vs_closed_form"]),
     "second-order RK4 weights (1, 3, 1, 1) / 6": (

@@ -160,6 +160,25 @@ def test_config_file_and_env_var(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    (None, ["--config", "{tmp}/missing.json"], "cannot read the config: "),
+    ([2, 3], [], "verify.json must hold a JSON object"),
+    ({"dimensions": 3}, [], "config dimensions must be a JSON array, not 3"),
+    ({"trials": [1]}, [], "config trials must be a JSON object, not [1]"),
+    (None, ["--out", "{tmp}/missing/report.jsonl"], "cannot write the report: "),
+])
+def test_bad_config_or_out_path_exits_2(tmp_path, capsys, config, flags, message):
+    # exit status 1 means a check failed; bad input must not look like that
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(config))
+    argv = ["metric", "--trials", "2"] + (["--config", str(path)] if config is not None else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag.format(tmp=tmp_path) for flag in flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "verify: error: " in err and message in err and "Traceback" not in err
+
+
 def test_report_fields(capsys):
     _, out = run_cli(["coin", "--seed", "1"], capsys)
     reports, _ = parse_reports(out)

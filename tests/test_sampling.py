@@ -107,6 +107,62 @@ def test_chi2_pvalue_equals_scipy_stats():
             assert_allclose(sampling._chi2_uniform(u, bins), ref, rtol=1e-12, atol=0)
 
 
+def reference_uniformity_pvalues(states, bins):
+    """``sampling._uniformity_pvalues`` with one ``np.angle`` per phase pair, kept verbatim."""
+    count, n = states.shape
+    pvals = {}
+    probs = np.abs(states) ** 2
+    for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
+        u = 1.0 - (1.0 - probs[:, i]) ** (n - 1)
+        pvals[f"|v_{i}|^2"] = reference_chi2_uniform(u, bins)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel = np.angle(states[:, i] * states[:, j].conj()) % (2.0 * np.pi)
+            pvals[f"arg(v_{i}/v_{j})"] = reference_chi2_uniform(rel / (2.0 * np.pi), bins)
+    return pvals
+
+
+def reference_chi2_uniform(u, bins):
+    """``sampling._chi2_uniform`` counting with ``np.histogram``, kept verbatim."""
+    from scipy.special import chdtrc
+
+    counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
+    expected = u.size / bins
+    stat = np.sum((counts - expected) ** 2 / expected)
+    return float(chdtrc(bins - 1, stat))
+
+
+@pytest.mark.parametrize("bins", [25, 40, 50])
+def test_uniformity_pvalues_equal_the_histogram_reference(bins):
+    # the phases differ from the reference's in the last bits, so a value could
+    # change bins only within an ulp or so of an edge: never, in this sweep
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 5):
+            states = sampling.sample_uniform(n, 5000, rng)
+            squared = states**2 / np.linalg.norm(states**2, axis=1, keepdims=True)
+            for sample in (states, squared):
+                assert sampling._uniformity_pvalues(sample, bins) == (
+                    reference_uniformity_pvalues(sample, bins))
+
+
+@pytest.mark.parametrize("bins", [25, 40, 50])
+def test_chi2_counts_edges_as_the_histogram_reference(bins):
+    # within an ulp of an edge floor(u * bins) can miss np.histogram's bin (3/40
+    # lies below linspace's edge 3 * 0.025); NaN, -0.0 and values outside [0, 1]
+    # must be counted as np.histogram counts them, and 1.0 falls in the last bin
+    edges = np.concatenate([np.arange(bins + 1) / bins, np.linspace(0.0, 1.0, bins + 1)])
+    below, above = np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)
+    near = [edges, below, above, np.nextafter(below, -1.0), np.nextafter(above, 2.0)]
+    odd = [np.nan, -0.0, 1.0, 1.0, -1e-300, 1.5, np.inf, -np.inf]
+    rng = np.random.default_rng(bins)
+    for fill in (0, 2000):
+        u = rng.permutation(np.concatenate(near + [odd, rng.random(fill)]))
+        assert sampling._chi2_uniform(u, bins) == reference_chi2_uniform(u, bins)
+    outside = np.array(odd[-4:] + [np.nan])  # nothing counted
+    assert sampling._chi2_uniform(outside, bins) == reference_chi2_uniform(outside, bins)
+
+
 @pytest.mark.parametrize("n, m", [(20000, 20000), (20000, 12000)])
 def test_ks_pvalue_matches_scipy_stats(n, m):
     for seed in range(10):
