@@ -15,22 +15,22 @@ file's ``tolerances`` and ``trials`` dicts set that knob for every check
 of the suite that declares it, and ``--trials N`` sets every declared
 trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
 A key that is not a suite declaring the knob is an error (exit status 2;
-the message lists the valid keys), and so are a trial count below 1, a
-tolerance that is not a finite number > 0, and no dimension or one below
-2, from flags or the config file alike.  So are a config file that cannot
-be read or parsed, or that is not a JSON object with an array of
-``dimensions`` and objects of ``trials`` and ``tolerances``, and an
-``--out`` path that cannot be written.  The statistical checks keep
-fixed sample sizes and bounds, because their false-alarm rate depends on
-them.
+the message lists the valid keys), and so is any value that
+``harness.Settings``, which holds the defaults, rejects, from flags or the
+config file alike.  So are a config file that cannot be read or parsed, or
+that is not a JSON object of ``seed``, an array of ``dimensions`` and
+objects of ``trials`` and ``tolerances``, and an ``--out`` path that cannot
+be written.  The statistical checks keep fixed sample sizes and bounds,
+because their false-alarm rate depends on them.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .harness import SUITES, Settings, overridable, run_suite
+from .harness import SUITES, Settings, overridable, reject_unknown, run_suite
 
 CONFIG_ENV_VAR = "QIG_VERIFY_CONFIG"
 
@@ -78,19 +78,19 @@ def load_settings(args):
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"config {path} must hold a JSON object")
+    reject_unknown("config", config, sorted(f.name for f in dataclasses.fields(Settings)))
     for key, kind, name in (("dimensions", list, "array"), ("trials", dict, "object"),
                             ("tolerances", dict, "object")):
         if not isinstance(config.get(key, kind()), kind):
             raise ValueError(f"config {key} must be a JSON {name}, not {json.dumps(config[key])}")
-    seed = args.seed if args.seed is not None else config.get("seed", 12345)
-    dimensions = args.n if args.n is not None else tuple(config.get("dimensions", (2, 3, 4, 5)))
-    trials = dict(config.get("trials", {}))
+    # only the keys given reach Settings, which holds the defaults
+    config.update((k, v) for k, v in (("seed", args.seed), ("dimensions", args.n)) if v is not None)
     if args.trials is not None:
-        trials.update(dict.fromkeys(overridable("trials"), args.trials))
-    tolerances = dict(config.get("tolerances", {}))
-    tolerances.update(dict(args.tol))
-    return Settings(seed=int(seed), dimensions=tuple(dimensions),
-                    trials=trials, tolerances=tolerances)
+        config["trials"] = {**config.get("trials", {}),
+                            **dict.fromkeys(overridable("trials"), args.trials)}
+    if args.tol:
+        config["tolerances"] = {**config.get("tolerances", {}), **dict(args.tol)}
+    return Settings(**config)
 
 
 def main(argv=None):
@@ -114,13 +114,8 @@ def main(argv=None):
             counts[report["status"]] += 1
             stream.write(json.dumps(report, allow_nan=False) + "\n")
             stream.flush()
-        summary = {
-            "summary": True,
-            "suites": suites,
-            "seed": settings.seed,
-            "checks": sum(counts.values()),
-            **counts,
-        }
+        summary = {"summary": True, "suites": suites, "seed": settings.seed,
+                   "checks": sum(counts.values()), **counts}
         stream.write(json.dumps(summary, allow_nan=False) + "\n")
     finally:
         if args.out:

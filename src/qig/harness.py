@@ -12,6 +12,7 @@ call, so a check's stream depends on :data:`BATCH`.  Statistical checks
 keep fixed sample sizes and bounds; their false-alarm rate depends on them.
 """
 
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -59,10 +60,9 @@ def overridable(knob):
 class Settings:
     """Master seed, dimensions, and overrides keyed by suite name.
 
-    ``trials`` and ``tolerances`` map a suite to the value that replaces
-    the default of every check in it declaring that knob; any other key,
-    a trial count below 1, a tolerance that is not a finite number > 0 and
-    dimensions that are none or below 2 raise ValueError.
+    ``trials`` and ``tolerances`` map a suite to the value that replaces the default of
+    every check in it declaring that knob.  Any other key, a seed, trial count or dimension
+    not an integer >= 0, 1 or 2, no dimension, or a tolerance not in (0, inf) raise ValueError.
     """
 
     seed: int = 12345
@@ -71,23 +71,33 @@ class Settings:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _above(self.seed, -1):
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
         for knob in ("trials", "tolerances"):
-            valid = overridable(knob)
-            unknown = sorted(set(getattr(self, knob)) - set(valid))
-            if unknown:
-                raise ValueError(f"unknown {knob} key(s) {', '.join(unknown)}; "
-                                 f"valid keys: {', '.join(valid)}")
-        few = sorted(suite for suite, count in self.trials.items() if not int(count) >= 1)
+            reject_unknown(knob, getattr(self, knob), overridable(knob))
+        few = sorted(suite for suite, count in self.trials.items() if not _above(count, 0))
         if few:  # a check that ran nothing shows nothing
-            raise ValueError(f"trial count below 1 for {', '.join(few)}")
-        bad = sorted(suite for suite, t in self.tolerances.items() if not 0 < float(t) < np.inf)
+            raise ValueError(f"trial count below 1 or not an integer for {', '.join(few)}")
+        bad = sorted(s for s, t in self.tolerances.items() if not _above(t, 0, numbers.Real))
         if bad:
             raise ValueError(f"tolerance not a finite number > 0 for {', '.join(bad)}")
-        if not self.dimensions or min(self.dimensions) < 2:
-            raise ValueError(f"need one or more dimensions, each >= 2; got {self.dimensions}")
+        if not self.dimensions or not all(_above(n, 1) for n in self.dimensions):
+            raise ValueError(f"need integer dimensions, each >= 2; got {self.dimensions}")
 
     def rng(self, check_name):
         return np.random.default_rng(check_seed(self.seed, check_name))
+
+
+def reject_unknown(label, given, valid):
+    """Raise ValueError naming the keys of ``given`` not in ``valid``, and listing ``valid``."""
+    unknown = ", ".join(sorted(set(given) - set(valid)))
+    if unknown:
+        raise ValueError(f"unknown {label} key(s) {unknown}; valid keys: {', '.join(valid)}")
+
+
+def _above(value, low, kind=numbers.Integral):
+    """Whether ``value`` is a ``kind`` number (a bool is not one) in (low, inf)."""
+    return isinstance(value, kind) and not isinstance(value, bool) and low < value < np.inf
 
 
 def check_seed(master_seed, check_name):
@@ -101,11 +111,11 @@ def run_check(suite, entry, settings):
     A declared trial count or ``tol`` resolves to the suite's override or
     else the check's default.  The check passes iff its residual is strictly
     inside the bound (``residual < bound`` for ``tol`` or ``below``,
-    ``residual > bound`` for ``above``; NaN never is) and its details carry
-    no ``first_failure``.  The report's ``tolerance`` is the bound applied;
-    ``margin`` is residual / bound for an upper bound and bound / residual
-    for a lower one, so it is below 1 iff the bound is met.  After the verdict,
-    each value that is not a finite number is reported as null (strict JSON).
+    ``residual > bound`` for ``above``; NaN never is); details only report.
+    The report's ``tolerance`` is the bound applied; ``margin`` is residual /
+    bound for an upper bound and bound / residual for a lower one, so it is
+    below 1 iff the bound is met.  After the verdict, each value that is not
+    a finite number is reported as null (strict JSON).
     """
     name, fn, default_trials, tol, below, above = entry
     bound = next(b for b in (tol, below, above) if b is not None)
@@ -113,14 +123,13 @@ def run_check(suite, entry, settings):
     try:
         knobs = {}
         if default_trials is not None:
-            knobs["trials"] = int(settings.trials.get(suite, default_trials))
+            knobs["trials"] = settings.trials.get(suite, default_trials)
         if tol is not None:
             bound = float(settings.tolerances.get(suite, tol))
         residual, trials, details = fn(settings, **knobs)
         residual = float(residual)
-        met = residual > bound if above is not None else residual < bound
-        status = "pass" if met and "first_failure" not in details else "fail"
         num, den = (bound, residual) if above is not None else (residual, bound)
+        status = "pass" if num < den else "fail"
         with np.errstate(divide="ignore", invalid="ignore"):
             margin = float(np.divide(num, den))
     except Exception as exc:  # noqa: BLE001 - harness must report, not crash
@@ -189,40 +198,46 @@ def check_metric_qspace(settings, trials):
     return np.max(devs, initial=0.0), trials, {"displacement": h}
 
 
-@check("metric", "metric.geodesic", trials=200, below=0.05)
+@check("metric", "metric.geodesic", trials=200, below=1)
 def check_metric_geodesic(settings, trials):
     """Geodesic distance and metric agree to second order; triangle inequality."""
     rng = settings.rng("metric.geodesic")
-    small = []  # per sample: the deviation at the smaller scale
+    devs = np.empty((2, trials))  # per scale (1e-2, 1e-3) and sample: |distance^2 / ds^2 - 1|
     for t in range(trials):
         m = int(rng.integers(2, 6))
         p = simplex.renormalized(rng.random(m) + 0.1)
         dp = rng.normal(size=m)
         dp = (dp - dp.mean()) / np.linalg.norm(dp)
-        # deviation of distance^2 / ds^2 from 1 must shrink with scale
-        devs = []
-        for scale in (1e-2, 1e-3):
+        for k, scale in enumerate((1e-2, 1e-3)):
             d = simplex.geodesic_distance(p, simplex.renormalized(p + scale * dp))
-            ds2 = simplex.info_metric_ds2(p, scale * dp)
-            devs.append(abs(d**2 / ds2 - 1.0))
-        small.append(devs[1])
-        # deviation must shrink clearly with scale (mixed first/second
-        # order terms make the exact decade factor vary per sample)
-        if devs[1] > devs[0] / 3.0:
-            return np.max(small), t + 1, {"first_failure": {"sample": t, "deviations": devs}}
+            devs[k, t] = abs(d**2 / simplex.info_metric_ds2(p, scale * dp) - 1.0)
+    excess = np.empty(trials)
     for t in range(trials):
         m = int(rng.integers(2, 6))
         a, b, c = (simplex.renormalized(rng.random(m) + 1e-3) for _ in range(3))
-        if simplex.geodesic_distance(a, c) > simplex.geodesic_distance(a, b) + simplex.geodesic_distance(b, c) + 1e-12:
-            return np.max(small), trials, {"triangle_inequality": False,
-                                           "first_failure": {"triangle_sample": t}}
-    return np.max(small, initial=0.0), trials, {"triangle_inequality": True}
+        excess[t] = simplex.geodesic_distance(a, c) - (
+            simplex.geodesic_distance(a, b) + simplex.geodesic_distance(b, c))
+    # the deviation must shrink clearly with scale (mixed first/second order
+    # terms make the exact decade factor vary per sample)
+    return _folded(trials, {}, deviation=(devs[1], 0.05), shrink=(devs[1], devs[0] / 3.0),
+                   triangle_excess=(excess, 1e-12))
+
+
+def _folded(trials, details, **parts):
+    """``(residual, trials, details)`` of a check gating ``name=(num, den)`` parts, met below 1.
+
+    The residual is the largest num / den of any part (NaN if one is; a zero den gives inf or
+    NaN, which fail), so the check declares ``below=1``; ``details["worst"]`` has each part's.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = {name: float(np.max(np.divide(num, den))) for name, (num, den) in parts.items()}
+    return np.max(list(worst.values())), trials, {**details, "worst": worst}
 
 
 # ------------------------------------------------------------------ coin
 
 
-@check("coin", "coin.expansion", below=0.02)
+@check("coin", "coin.expansion", below=1)
 def check_coin_expansion(settings):
     """log Bayes factor ~ 2n ds^2 for nearby coins, converging with |dp|."""
     n = COIN_N
@@ -234,12 +249,9 @@ def check_coin_expansion(settings):
         lbf = simplex.log_bayes_factor(p, p + dp, n)
         ds2 = simplex.info_metric_ds2(p, dp)
         deviations.append(abs(lbf / (2.0 * n * ds2) - 1.0))
-    details = {"deviations": deviations, "dp": deltas}
     # at least first-order convergence per decade of |dp|
-    slow = [k for k in (1, 2) if not deviations[k] < deviations[k - 1] / 5.0]
-    if slow:
-        details["first_failure"] = {"dp": deltas[slow[0]]}
-    return deviations[1], 3, details
+    return _folded(3, {"deviations": deviations, "dp": deltas}, deviation=(deviations[1], 0.02),
+                   convergence=(deviations[1:], np.divide(deviations[:-1], 5.0)))
 
 
 @check("coin", "coin.monte_carlo", below=3.0)
@@ -342,7 +354,7 @@ def check_classify_roundtrip(settings, trials):
             wrong = np.argwhere(g.kind != transforms.KINDS[1:])
             if wrong.size:
                 t, anti = wrong[0]
-                return 1.0, total + 2 * int(t) + int(anti) + 1, _kind_failure(
+                return np.inf, total + 2 * int(t) + int(anti) + 1, _kind_failure(
                     batch[t], n, transforms.KINDS[1 + anti], g.kind[t, anti])
             total += g.kind.size
             devs.append(np.max(np.abs(g.v - v[:, None])))
@@ -363,7 +375,7 @@ def check_classify_rejects_generic(settings, trials):
             accepted = np.flatnonzero(kind != transforms.REJECTED)
             if accepted.size:
                 t = int(accepted[0])
-                return np.min(devs), total + t + 1, _kind_failure(
+                return 0.0, total + t + 1, _kind_failure(
                     batch[t], n, transforms.REJECTED, kind[t])
             total += len(batch)
     min_dev = float(np.min(devs, initial=np.inf))
@@ -416,7 +428,7 @@ def check_classify_composition(settings, trials):
     wrong = np.flatnonzero(kind != expected)
     if wrong.size:
         t = wrong[0]
-        return 1.0, trials, _kind_failure(t, dims[t], expected[t], kind[t])
+        return np.inf, trials, _kind_failure(t, dims[t], expected[t], kind[t])
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -614,7 +626,7 @@ def check_dynamics_unitary(settings, trials):
     return wrong.size, trials, first
 
 
-@check("dynamics", "dynamics.hj_residuals", below=1e-9)
+@check("dynamics", "dynamics.hj_residuals", below=1)
 def check_dynamics_residuals(settings):
     """Plane wave: residual 0; spreading family: second-order convergence."""
     m_mass, momentum = 1.0, 0.7
@@ -623,8 +635,7 @@ def check_dynamics_residuals(settings):
         return dynamics.free_particle_state(momentum, m_mass, h=0.01,
                                             x0=-1.0, n=201, t=t)
 
-    c0, h0 = dynamics.hj_residual(plane, t=1.0, dt=0.01)
-    plane_resid = np.max([c0, h0])
+    plane_resid = dynamics.hj_residual(plane, t=1.0, dt=0.01)
 
     def spreading(h, dt):
         n = int(round(3.6 / h)) + 1
@@ -635,16 +646,10 @@ def check_dynamics_residuals(settings):
 
         return dynamics.hj_residual(provider, t=1.0, dt=dt)
 
-    coarse = spreading(0.02, 0.02)
-    fine = spreading(0.01, 0.01)
-    ratios = [c / f for c, f in zip(coarse, fine)]
-    details = {"plane_wave_residual": plane_resid,
-               "coarse": list(coarse), "fine": list(fine), "ratios": ratios}
-    # second-order convergence: halving h and dt cuts each residual about 4x
-    slow = [k for k, r in enumerate(ratios) if not r >= 3.5]
-    if slow:
-        details["first_failure"] = {"equation": ("continuity", "hamilton_jacobi")[slow[0]]}
-    return plane_resid, 2, details
+    coarse, fine = spreading(0.02, 0.02), spreading(0.01, 0.01)
+    # second order: halving h and dt cuts each residual (continuity, HJ) about 4x, not under 3.5x
+    return _folded(2, {"coarse": coarse, "fine": fine}, plane_wave=(plane_resid, 1e-9),
+                   convergence=(3.5 * np.array(fine), coarse))
 
 
 # ------------------------------------------------------------------ haar

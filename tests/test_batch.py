@@ -7,9 +7,11 @@ Hamilton-Jacobi ensembles, ``metric_invariance_check``), ``simulate_batch``
 and stacked Haar draws must give what the scalar calls or the loops they
 replaced give element by element, and the functions of one state must
 reject a stack; each rewritten check must fail on a planted defect, with
-its margin on the failing side of 1; a kernel that returns NaN must fail
-the checks that call it; and no check may validate its inputs once per
-trial.  No public function takes a ``stacked`` flag.
+its margin on the failing side of 1, and the three checks that fold a
+second quantity into their residual must give the verdicts of their
+former, verbatim versions; a kernel that returns NaN must fail the checks
+that call it; and no check may validate its inputs once per trial.  No
+public function takes a ``stacked`` flag.
 """
 
 import collections
@@ -424,11 +426,19 @@ MUTANTS = {
     "second-order RK4 weights (1, 3, 1, 1) / 6": (
         measure, "k1 + 2 * k2 + 2 * k3 + k4", "k1 + 3 * k2 + k3 + k4",
         ["measure.ode_convergence"]),
+    # each of the next three is caught only by the quantity folded into its residual
+    "geodesic distance 1% long": (
+        simplex, "d = np.arccos(", "d = 1.01 * np.arccos(", ["metric.geodesic"]),
+    "log Bayes factor of n + 1 tosses": (
+        simplex, "return n * np.sum(", "return (n + 1) * np.sum(", ["coin.expansion"]),
+    "forward time difference of S": (
+        dynamics, "dS_dt = (nxt.S[2:-2] - prev.S[2:-2]) / (2.0 * dt)",
+        "dS_dt = (nxt.S[2:-2] - cur.S[2:-2]) / dt", ["dynamics.hj_residuals"]),
 }
 
 
-def run_with(monkeypatch, module, old, new, names):
-    """Run the named checks at ``SMALL`` settings against a mutated copy of ``module``."""
+def install(monkeypatch, module, old, new):
+    """Put a mutated copy of ``module`` wherever the checks reach ``module``; return the copy."""
     copy = mutant(monkeypatch, module, old, new)
     monkeypatch.setattr(harness, module.__name__.rsplit(".", 1)[1], copy)
     # and for imports made at call time, such as composite's of dynamics
@@ -438,6 +448,12 @@ def run_with(monkeypatch, module, old, new, names):
         for attr, obj in list(vars(other).items()):
             if isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__:
                 monkeypatch.setattr(other, attr, getattr(copy, obj.__name__))
+    return copy
+
+
+def run_with(monkeypatch, module, old, new, names):
+    """Run the named checks at ``SMALL`` settings against a mutated copy of ``module``."""
+    install(monkeypatch, module, old, new)
     return {name: harness.run_check(*CHECKS[name], SMALL) for name in names}
 
 
@@ -447,9 +463,14 @@ def test_planted_defect_fails_its_check(defect, monkeypatch):
     for name in names:
         assert harness.run_check(*CHECKS[name], SMALL)["status"] == "pass", name
     for name, report in run_with(monkeypatch, module, old, new, names).items():
-        # an infinite margin (residual 0 under a lower bound) is written as null
-        margin = report["margin"] if report["margin"] is not None else (
-            np.inf if report["max_residual"] == 0.0 else np.nan)
+        # an infinite margin is written as null: a residual of 0 under a lower
+        # bound, or an infinite residual (also null), which only a wrong kind
+        # sets; a NaN residual is null too, and has no kind finding
+        margin, failure = report["margin"], report["details"].get("first_failure", {})
+        if margin is None:
+            infinite = report["max_residual"] == 0.0 or (
+                report["max_residual"] is None and {"expected", "found"} <= set(failure))
+            margin = np.inf if infinite else np.nan
         assert report["status"] == "fail" and margin >= 1, (name, report)
 
 
@@ -499,13 +520,158 @@ def test_wrong_kind_reports_first_failure(monkeypatch):
     reports = run_with(monkeypatch, transforms, *DET_FLIP,
                        ["classify.roundtrip", "classify.composition"])
     roundtrip = reports["classify.roundtrip"]
-    assert roundtrip["max_residual"] == 1.0 and roundtrip["trials"] == 1
+    # a wrong kind sets an infinite residual, written as null, which no --tol can pass
+    assert roundtrip["max_residual"] is None and roundtrip["trials"] == 1
     assert roundtrip["details"]["first_failure"] == {
         "sample": 0, "n": 2, "expected": "unitary", "found": "antiunitary"}
     failure = reports["classify.composition"]["details"]["first_failure"]
     assert failure["sample"] == 0 and failure["n"] in (2, 3, 4, 5)
     assert {failure["expected"], failure["found"]} == {"unitary", "antiunitary"}
     assert reports["classify.composition"]["tolerance"] == 1e-9
+    assert reports["classify.composition"]["max_residual"] is None
+    loose = harness.Settings(trials={"classify": 60}, tolerances={"classify": 1e300})
+    for name in ("classify.roundtrip", "classify.composition"):
+        assert harness.run_check(*CHECKS[name], loose)["status"] == "fail", name
+
+
+def test_first_failure_only_reports():
+    # the verdict compares the residual with the bound and reads nothing from details
+    for residual, status in ((0.5, "pass"), (1.0, "fail")):
+        def stub(settings, residual=residual):
+            return residual, 1, {"first_failure": {"sample": 0}}
+
+        report = harness.run_check("stub", ("stub.check", stub, None, None, 1, None),
+                                   harness.Settings())
+        assert report["status"] == status and report["margin"] == residual
+
+
+# The parent versions of the three checks that gated a second quantity through
+# details["first_failure"], kept verbatim: a check passed iff its residual was
+# below the bound and its details carried no first_failure.
+COIN_N = harness.COIN_N
+
+
+def reference_check_metric_geodesic(settings, trials):
+    """Geodesic distance and metric agree to second order; triangle inequality."""
+    rng = settings.rng("metric.geodesic")
+    small = []  # per sample: the deviation at the smaller scale
+    for t in range(trials):
+        m = int(rng.integers(2, 6))
+        p = simplex.renormalized(rng.random(m) + 0.1)
+        dp = rng.normal(size=m)
+        dp = (dp - dp.mean()) / np.linalg.norm(dp)
+        # deviation of distance^2 / ds^2 from 1 must shrink with scale
+        devs = []
+        for scale in (1e-2, 1e-3):
+            d = simplex.geodesic_distance(p, simplex.renormalized(p + scale * dp))
+            ds2 = simplex.info_metric_ds2(p, scale * dp)
+            devs.append(abs(d**2 / ds2 - 1.0))
+        small.append(devs[1])
+        # deviation must shrink clearly with scale (mixed first/second
+        # order terms make the exact decade factor vary per sample)
+        if devs[1] > devs[0] / 3.0:
+            return np.max(small), t + 1, {"first_failure": {"sample": t, "deviations": devs}}
+    for t in range(trials):
+        m = int(rng.integers(2, 6))
+        a, b, c = (simplex.renormalized(rng.random(m) + 1e-3) for _ in range(3))
+        if simplex.geodesic_distance(a, c) > simplex.geodesic_distance(a, b) + simplex.geodesic_distance(b, c) + 1e-12:
+            return np.max(small), trials, {"triangle_inequality": False,
+                                           "first_failure": {"triangle_sample": t}}
+    return np.max(small, initial=0.0), trials, {"triangle_inequality": True}
+
+
+def reference_check_coin_expansion(settings):
+    """log Bayes factor ~ 2n ds^2 for nearby coins, converging with |dp|."""
+    n = COIN_N
+    p = np.array([0.5, 0.5])
+    deltas = [1e-2, 1e-3, 1e-4]
+    deviations = []
+    for delta in deltas:
+        dp = np.array([delta, -delta])
+        lbf = simplex.log_bayes_factor(p, p + dp, n)
+        ds2 = simplex.info_metric_ds2(p, dp)
+        deviations.append(abs(lbf / (2.0 * n * ds2) - 1.0))
+    details = {"deviations": deviations, "dp": deltas}
+    # at least first-order convergence per decade of |dp|
+    slow = [k for k in (1, 2) if not deviations[k] < deviations[k - 1] / 5.0]
+    if slow:
+        details["first_failure"] = {"dp": deltas[slow[0]]}
+    return deviations[1], 3, details
+
+
+def reference_check_dynamics_residuals(settings):
+    """Plane wave: residual 0; spreading family: second-order convergence."""
+    m_mass, momentum = 1.0, 0.7
+
+    def plane(t):
+        return dynamics.free_particle_state(momentum, m_mass, h=0.01,
+                                            x0=-1.0, n=201, t=t)
+
+    c0, h0 = dynamics.hj_residual(plane, t=1.0, dt=0.01)
+    plane_resid = np.max([c0, h0])
+
+    def spreading(h, dt):
+        n = int(round(3.6 / h)) + 1
+
+        def provider(t):
+            return dynamics.spreading_free_particle_state(
+                m_mass, h=h, x0=-1.8, n=n, t=t, width=0.2)
+
+        return dynamics.hj_residual(provider, t=1.0, dt=dt)
+
+    coarse = spreading(0.02, 0.02)
+    fine = spreading(0.01, 0.01)
+    ratios = [c / f for c, f in zip(coarse, fine)]
+    details = {"plane_wave_residual": plane_resid,
+               "coarse": list(coarse), "fine": list(fine), "ratios": ratios}
+    # second-order convergence: halving h and dt cuts each residual about 4x
+    slow = [k for k, r in enumerate(ratios) if not r >= 3.5]
+    if slow:
+        details["first_failure"] = {"equation": ("continuity", "hamilton_jacobi")[slow[0]]}
+    return plane_resid, 2, details
+
+
+# check -> its reference and the reference's bound
+FOLDED = {"metric.geodesic": (reference_check_metric_geodesic, 0.05),
+          "coin.expansion": (reference_check_coin_expansion, 0.02),
+          "dynamics.hj_residuals": (reference_check_dynamics_residuals, 1e-9)}
+
+
+def verdicts(name, settings):
+    """Whether the folded check passes, and whether its reference passes."""
+    reference, bound = FOLDED[name]
+    knobs = {"trials": settings.trials["metric"]} if name == "metric.geodesic" else {}
+    residual, _, details = reference(settings, **knobs)
+    report = harness.run_check(*CHECKS[name], settings)
+    assert report["tolerance"] == 1 and "first_failure" not in report["details"], report
+    return report["status"] == "pass", bool(residual < bound and "first_failure" not in details)
+
+
+def test_folded_geodesic_keeps_the_reference_verdicts():
+    seen = set()
+    for seed in range(40):
+        new, old = verdicts("metric.geodesic", harness.Settings(seed=seed, trials={"metric": 50}))
+        assert new == old, seed
+        seen.add(new)
+    assert seen == {True, False}
+
+
+def test_folded_checks_keep_the_reference_verdicts_under_their_mutants(monkeypatch):
+    seen = collections.defaultdict(set)
+    settings = harness.Settings(trials={"metric": 200})
+    folded = [defect for defect, (*_, names) in MUTANTS.items() if set(names) & set(FOLDED)]
+    for defect in [None, *folded]:
+        with monkeypatch.context() as patch:
+            if defect is not None:
+                module, old, new, _ = MUTANTS[defect]
+                # the references read the module through this file's globals
+                patch.setitem(globals(), module.__name__.rsplit(".", 1)[1],
+                              install(patch, module, old, new))
+            for name in FOLDED:
+                new, old = verdicts(name, settings)
+                assert new == old, (name, defect)
+                seen[name].add(new)
+    assert len(folded) == 3 and all(seen[name] == {True, False} for name in FOLDED), seen
 
 
 def test_composition_tolerance_is_declared():

@@ -166,12 +166,21 @@ def test_config_file_and_env_var(tmp_path, capsys, monkeypatch):
     ({"dimensions": 3}, [], "config dimensions must be a JSON array, not 3"),
     ({"trials": [1]}, [], "config trials must be a JSON object, not [1]"),
     (None, ["--out", "{tmp}/missing/report.jsonl"], "cannot write the report: "),
+    # harness.Settings checks the types of what the config gives
+    ({"seed": 1.7}, [], "seed must be an integer >= 0, not 1.7"),
+    ({"seed": True}, [], "seed must be an integer >= 0, not True"),
+    ({"trials": {"metric": 2.5}}, [], "trial count below 1 or not an integer for metric"),
+    ({"trials": {"metric": "5"}}, [], "trial count below 1 or not an integer for metric"),
+    ({"dimensions": [2.5, 3]}, [], "need integer dimensions, each >= 2; got [2.5, 3]"),
+    ({"tolerances": {"metric": "1e-3"}}, [], "tolerance not a finite number > 0 for metric"),
+    ({"sed": 3}, [], "unknown config key(s) sed; valid keys: dimensions, seed, tolerances, trials"),
 ])
 def test_bad_config_or_out_path_exits_2(tmp_path, capsys, config, flags, message):
-    # exit status 1 means a check failed; bad input must not look like that
+    # exit status 1 means a check failed; bad input must not look like that.
+    # No --trials here: it would replace a config's trial counts before they are checked.
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(config))
-    argv = ["metric", "--trials", "2"] + (["--config", str(path)] if config is not None else [])
+    argv = ["metric"] + (["--config", str(path)] if config is not None else [])
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [flag.format(tmp=tmp_path) for flag in flags])
     assert exc.value.code == 2
