@@ -7,7 +7,9 @@ Usage:
 
 One JSON object is printed per check, then a summary object.  Exit
 status is 0 iff every check passed.  Reports are byte-reproducible for
-a given seed and configuration except for the elapsed-time fields.
+a given seed and configuration except for the elapsed-time fields:
+``harness.run_check`` hands each check a generator seeded by the master
+seed and the RNG label in the check's record in ``harness.CHECKS``.
 Every check line carries the bound applied (``tolerance``) and ``margin``.
 
 Overrides are keyed by suite name: ``--tol SUITE=VALUE`` and the config
@@ -16,12 +18,13 @@ of the suite that declares it, and ``--trials N`` sets every declared
 trial count.  ``--tol`` reaches a declared ``tol``, never a fixed bound.
 A key that is not a suite declaring the knob is an error (exit status 2;
 the message lists the valid keys), and so is any value that
-``harness.Settings``, which holds the defaults, rejects, from flags or the
-config file alike.  So are a config file that cannot be read or parsed, or
-that is not a JSON object of ``seed``, an array of ``dimensions`` and
-objects of ``trials`` and ``tolerances``, and an ``--out`` path that cannot
-be written.  The statistical checks keep fixed sample sizes and bounds,
-because their false-alarm rate depends on them.
+``harness.Settings``, which holds the defaults, rejects: the config file's
+as given, then each flag's as it replaces a value.  So are a config
+file that cannot be read or parsed, or that is not a JSON object of
+``seed``, an array of ``dimensions`` and objects of ``trials`` and
+``tolerances``, and an ``--out`` path that cannot be written.  The
+statistical checks keep fixed sample sizes and bounds, because their
+false-alarm rate depends on them.
 """
 
 import argparse
@@ -30,7 +33,7 @@ import json
 import os
 import sys
 
-from .harness import SUITES, Settings, overridable, reject_unknown, run_suite
+from .harness import Settings, overridable, reject_unknown, run_suite, suites
 
 CONFIG_ENV_VAR = "QIG_VERIFY_CONFIG"
 
@@ -52,7 +55,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run the deterministic verification suites.")
-    parser.add_argument("suite", choices=sorted(SUITES) + ["all"],
+    parser.add_argument("suite", choices=suites() + ["all"],
                         help="which suite to run")
     parser.add_argument("--n", type=parse_dimensions, default=None,
                         metavar="N or LO..HI", help="dimension(s) to test")
@@ -79,18 +82,14 @@ def load_settings(args):
         if not isinstance(config, dict):
             raise ValueError(f"config {path} must hold a JSON object")
     reject_unknown("config", config, sorted(f.name for f in dataclasses.fields(Settings)))
-    for key, kind, name in (("dimensions", list, "array"), ("trials", dict, "object"),
-                            ("tolerances", dict, "object")):
-        if not isinstance(config.get(key, kind()), kind):
-            raise ValueError(f"config {key} must be a JSON {name}, not {json.dumps(config[key])}")
-    # only the keys given reach Settings, which holds the defaults
-    config.update((k, v) for k, v in (("seed", args.seed), ("dimensions", args.n)) if v is not None)
+    # Settings checks the config as given, then each flag given replaces its value
+    settings = Settings(**config)
+    flags = {k: v for k, v in (("seed", args.seed), ("dimensions", args.n)) if v is not None}
     if args.trials is not None:
-        config["trials"] = {**config.get("trials", {}),
-                            **dict.fromkeys(overridable("trials"), args.trials)}
+        flags["trials"] = {**settings.trials, **dict.fromkeys(overridable("trials"), args.trials)}
     if args.tol:
-        config["tolerances"] = {**config.get("tolerances", {}), **dict(args.tol)}
-    return Settings(**config)
+        flags["tolerances"] = {**settings.tolerances, **dict(args.tol)}
+    return dataclasses.replace(settings, **flags)
 
 
 def main(argv=None):
@@ -102,7 +101,7 @@ def main(argv=None):
         parser.error(f"cannot read the config: {exc}")
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = suites() if args.suite == "all" else [args.suite]
     try:
         stream = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
@@ -110,11 +109,11 @@ def main(argv=None):
 
     counts = {"pass": 0, "fail": 0, "error": 0}
     try:
-        for report in run_suite(suites, settings):
+        for report in run_suite(names, settings):
             counts[report["status"]] += 1
             stream.write(json.dumps(report, allow_nan=False) + "\n")
             stream.flush()
-        summary = {"summary": True, "suites": suites, "seed": settings.seed,
+        summary = {"summary": True, "suites": names, "seed": settings.seed,
                    "checks": sum(counts.values()), **counts}
         stream.write(json.dumps(summary, allow_nan=False) + "\n")
     finally:

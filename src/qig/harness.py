@@ -1,15 +1,17 @@
 """Deterministic verification checks behind the ``verify`` command.
 
-Each check is declared once, with :func:`check`, under its suite, with
-its default trial count where it has one and exactly one bound; the CLI,
-the config file and the tests all read that registry, :data:`SUITES`.
-A check returns ``(residual, trials, details)`` and never its verdict:
-:func:`run_check` is the one place that compares a residual with its
-bound.  Seeds for individual checks are derived from the master seed and
-an RNG label, so checks can run in any order (or concurrently) without
-changing results.  A batch draws each kind of random value as one array
-call, so a check's stream depends on :data:`BATCH`.  Statistical checks
-keep fixed sample sizes and bounds; their false-alarm rate depends on them.
+Each check is declared once, with :func:`check`, as one record of the
+registry :data:`CHECKS`: its suite, function, default trial count where it
+has one, exactly one bound, and the label of its random stream.  The CLI,
+the config file and the tests all read that registry.  :func:`run_check`
+hands each check its generator, derived from the master seed and the
+record's label, so checks can run in any order (or concurrently) without
+changing results.  A check returns ``(residual, trials, details)`` and
+never its verdict: :func:`run_check` is the one place that compares a
+residual with its bound.  A batch draws each kind of random value as one
+array call, so a check's stream depends on :data:`BATCH`.  Statistical
+checks keep fixed sample sizes and bounds; their false-alarm rate depends
+on them.
 """
 
 import numbers
@@ -30,30 +32,41 @@ HAAR_PAIRS_PER_MAP = 50
 WITNESS_TRIALS = 8  # witness draws per classified matrix
 BATCH = 64  # samples per kernel call, which bounds the arrays a check holds at once
 
-# suite -> [(check name, function, default trials, tol, below, above)], in
-# declaration order; None marks a knob or bound the check does not have.
-SUITES = {}
+# check name -> its record, in declaration order: a plain dict of "name", "suite", "fn",
+# "trials" (None where the check takes none), "side" ("tol", "below" or "above"), "bound"
+# and "rng", the label of the check's random stream.
+CHECKS = {}
 
 
-def check(suite, name, trials=None, tol=None, below=None, above=None):
+def check(suite, name, trials=None, rng=None, **bound):
     """Register a check of ``suite`` with its default trial count and one bound.
 
-    ``tol`` is an upper bound that ``--tol SUITE=`` overrides; ``below`` and
-    ``above`` are fixed upper and lower bounds, because a statistical check's
-    false-alarm rate depends on its bound.  :func:`run_check` passes a
-    declared trial count to the function as the keyword argument ``trials``.
+    The bound is ``tol``, an upper bound that ``--tol SUITE=`` overrides, or a fixed
+    ``below`` (upper) or ``above`` (lower) bound, because a statistical check's false-alarm
+    rate depends on its bound; no bound, two or another keyword raise TypeError.  ``rng``
+    labels the check's random stream, ``name`` by default.  :func:`run_check` calls the
+    function as ``fn(settings, rng)``, adding the keyword ``trials`` where one is declared.
     """
+    if len(bound) != 1 or not bound.keys() <= {"tol", "below", "above"}:
+        raise TypeError(f"{name} must declare one of tol, below or above, not {sorted(bound)}")
+    (side, value), = bound.items()
+
     def register(fn):
-        SUITES.setdefault(suite, []).append((name, fn, trials, tol, below, above))
+        CHECKS[name] = {"name": name, "suite": suite, "fn": fn, "trials": trials,
+                        "side": side, "bound": value, "rng": rng or name}
         return fn
     return register
 
 
+def suites():
+    """Sorted names of the suites in the registry."""
+    return sorted({record["suite"] for record in CHECKS.values()})
+
+
 def overridable(knob):
     """Sorted suites in which some check declares ``knob``, "trials" or "tolerances"."""
-    column = {"trials": 2, "tolerances": 3}[knob]
-    return sorted({suite for suite, checks in SUITES.items()
-                   for entry in checks if entry[column] is not None})
+    return sorted({r["suite"] for r in CHECKS.values()
+                   if (r["trials"] is not None if knob == "trials" else r["side"] == "tol")})
 
 
 @dataclass(frozen=True)
@@ -61,8 +74,9 @@ class Settings:
     """Master seed, dimensions, and overrides keyed by suite name.
 
     ``trials`` and ``tolerances`` map a suite to the value that replaces the default of
-    every check in it declaring that knob.  Any other key, a seed, trial count or dimension
-    not an integer >= 0, 1 or 2, no dimension, or a tolerance not in (0, inf) raise ValueError.
+    every check in it declaring that knob.  Dimensions that are not a list or tuple, trials
+    or tolerances that are not a dict, any other key, a seed, trial count or dimension not
+    an integer >= 0, 1 or 2, no dimension, or a tolerance not in (0, inf) raise ValueError.
     """
 
     seed: int = 12345
@@ -71,6 +85,10 @@ class Settings:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key, kind, name in (("dimensions", (list, tuple), "array"),
+                                ("trials", dict, "object"), ("tolerances", dict, "object")):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"config {key} must be a JSON {name}, not {getattr(self, key)!r}")
         if not _above(self.seed, -1):
             raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
         for knob in ("trials", "tolerances"):
@@ -84,8 +102,9 @@ class Settings:
         if not self.dimensions or not all(_above(n, 1) for n in self.dimensions):
             raise ValueError(f"need integer dimensions, each >= 2; got {self.dimensions}")
 
-    def rng(self, check_name):
-        return np.random.default_rng(check_seed(self.seed, check_name))
+    def rng(self, label):
+        """Generator of the stream ``label``: seeded by the master seed and a CRC of the label."""
+        return np.random.default_rng([int(self.seed), zlib.crc32(label.encode())])
 
 
 def reject_unknown(label, given, valid):
@@ -100,15 +119,11 @@ def _above(value, low, kind=numbers.Integral):
     return isinstance(value, kind) and not isinstance(value, bool) and low < value < np.inf
 
 
-def check_seed(master_seed, check_name):
-    """Per-check seed: master seed combined with a CRC of the check name."""
-    return np.random.SeedSequence([int(master_seed), zlib.crc32(check_name.encode())])
+def run_check(record, settings):
+    """Execute the check of one :data:`CHECKS` record; return its report dict.
 
-
-def run_check(suite, entry, settings):
-    """Execute one ``(name, fn, trials, tol, below, above)`` entry of ``SUITES[suite]``.
-
-    A declared trial count or ``tol`` resolves to the suite's override or
+    The check gets ``settings.rng(record["rng"])`` as its generator.  A
+    declared trial count or ``tol`` resolves to the suite's override or
     else the check's default.  The check passes iff its residual is strictly
     inside the bound (``residual < bound`` for ``tol`` or ``below``,
     ``residual > bound`` for ``above``; NaN never is); details only report.
@@ -117,18 +132,17 @@ def run_check(suite, entry, settings):
     below 1 iff the bound is met.  After the verdict, each value that is not
     a finite number is reported as null (strict JSON).
     """
-    name, fn, default_trials, tol, below, above = entry
-    bound = next(b for b in (tol, below, above) if b is not None)
+    suite, bound = record["suite"], record["bound"]
     start = time.perf_counter()
     try:
         knobs = {}
-        if default_trials is not None:
-            knobs["trials"] = settings.trials.get(suite, default_trials)
-        if tol is not None:
-            bound = float(settings.tolerances.get(suite, tol))
-        residual, trials, details = fn(settings, **knobs)
+        if record["trials"] is not None:
+            knobs["trials"] = settings.trials.get(suite, record["trials"])
+        if record["side"] == "tol":
+            bound = float(settings.tolerances.get(suite, bound))
+        residual, trials, details = record["fn"](settings, settings.rng(record["rng"]), **knobs)
         residual = float(residual)
-        num, den = (bound, residual) if above is not None else (residual, bound)
+        num, den = (bound, residual) if record["side"] == "above" else (residual, bound)
         status = "pass" if num < den else "fail"
         with np.errstate(divide="ignore", invalid="ignore"):
             margin = float(np.divide(num, den))
@@ -136,7 +150,7 @@ def run_check(suite, entry, settings):
         status, residual, margin, trials = "error", None, None, 0
         details = {"exception": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
-    return _finite({"check": name, "status": status, "max_residual": residual,
+    return _finite({"check": record["name"], "status": status, "max_residual": residual,
                     "tolerance": bound, "margin": margin, "trials": trials,
                     "seed": int(settings.seed), "elapsed": round(elapsed, 6),
                     "details": details, "suite": suite})
@@ -154,17 +168,17 @@ def _finite(value):
 def run_suite(names, settings):
     """Run the named suites in order, yielding one report dict per check."""
     for suite in names:
-        for entry in SUITES[suite]:
-            yield run_check(suite, entry, settings)
+        for record in CHECKS.values():
+            if record["suite"] == suite:
+                yield run_check(record, settings)
 
 
 # ---------------------------------------------------------------- metric
 
 
 @check("metric", "metric.pullback", trials=500, tol=1e-12)
-def check_metric_pullback(settings, trials):
+def check_metric_pullback(settings, rng, trials):
     """Information metric equals the Euclidean metric of the sqrt embedding."""
-    rng = settings.rng("metric.pullback")
     devs = []
     for m, count in _groups(rng.integers(2, 7, (trials, 1))):
         p = simplex.renormalized(rng.random((count, m)) + 0.05)
@@ -176,10 +190,9 @@ def check_metric_pullback(settings, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8)
-def check_metric_qspace(settings, trials):
+@check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8, rng="metric.qspace")
+def check_metric_qspace(settings, rng, trials):
     """sum dQ^2 matches (1/4) sum dP^2/P on outcome probabilities."""
-    rng = settings.rng("metric.qspace")
     h = 1e-5
     devs = []
     for n, count in _groups(rng.integers(2, 6, (trials, 1))):
@@ -199,9 +212,8 @@ def check_metric_qspace(settings, trials):
 
 
 @check("metric", "metric.geodesic", trials=200, below=1)
-def check_metric_geodesic(settings, trials):
+def check_metric_geodesic(settings, rng, trials):
     """Geodesic distance and metric agree to second order; triangle inequality."""
-    rng = settings.rng("metric.geodesic")
     devs = np.empty((2, trials))  # per scale (1e-2, 1e-3) and sample: |distance^2 / ds^2 - 1|
     for t in range(trials):
         m = int(rng.integers(2, 6))
@@ -238,7 +250,7 @@ def _folded(trials, details, **parts):
 
 
 @check("coin", "coin.expansion", below=1)
-def check_coin_expansion(settings):
+def check_coin_expansion(settings, rng):
     """log Bayes factor ~ 2n ds^2 for nearby coins, converging with |dp|."""
     n = COIN_N
     p = np.array([0.5, 0.5])
@@ -255,9 +267,8 @@ def check_coin_expansion(settings):
 
 
 @check("coin", "coin.monte_carlo", below=3.0)
-def check_coin_monte_carlo(settings):
+def check_coin_monte_carlo(settings, rng):
     """Monte-Carlo mean of ln(P_A/P_B) matches the analytic value within 3 SE."""
-    rng = settings.rng("coin.monte_carlo")
     datasets = 100_000  # fixed sample size
     n = COIN_TOSSES
     p = np.array([0.5, 0.5])
@@ -275,7 +286,7 @@ def check_coin_monte_carlo(settings):
 
 
 @check("measure-solver", "measure.ode_vs_closed_form", tol=1e-6)
-def check_measure_ode(settings):
+def check_measure_ode(settings, rng):
     """RK4 solution of F' = +/- 2a sqrt(F(1-F)) matches cos^2(a chi + b)."""
     a, b = 1.0, 0.0
     grid = np.linspace(0.0, 2.0 * np.pi, 629)
@@ -285,7 +296,7 @@ def check_measure_ode(settings):
 
 
 @check("measure-solver", "measure.invariant_density", trials=1000, tol=1e-9)
-def check_measure_invariant_density(settings, trials):
+def check_measure_invariant_density(settings, rng, trials):
     """Induced density of the cos^2 family is constant (= 2|a|) on ``trials`` points.
 
     The residual is the largest deviation from 2|a| or relative variation
@@ -305,7 +316,7 @@ def check_measure_invariant_density(settings, trials):
 
 
 @check("measure-solver", "measure.counterexamples", trials=1000, above=0.10)
-def check_measure_counterexamples(settings, trials):
+def check_measure_counterexamples(settings, rng, trials):
     """Non-sinusoidal embeddings are rejected: density varies by > 10% on ``trials`` points."""
     quad = measure.EmbeddingFunction(
         F=lambda x: x**2, dF=lambda x: 2.0 * x, domain=(0.1, 0.9))
@@ -322,7 +333,7 @@ def check_measure_counterexamples(settings, trials):
 
 
 @check("measure-solver", "measure.ode_convergence", above=8.0)
-def check_measure_convergence(settings):
+def check_measure_convergence(settings, rng):
     """Halving the RK4 step reduces the error at least 8x away from turning points."""
     a = 1.0
     grid = np.linspace(0.3, np.pi / 2 - 0.3, 50)
@@ -340,9 +351,8 @@ def check_measure_convergence(settings):
 
 
 @check("classify", "classify.roundtrip", trials=1000, tol=1e-9)
-def check_classify_roundtrip(settings, trials):
+def check_classify_roundtrip(settings, rng, trials):
     """Haar unitaries and antiunitaries survive realify -> classify (``trials`` per dimension)."""
-    rng = settings.rng("classify.roundtrip")
     devs = []
     total = 0
     for n in settings.dimensions:
@@ -361,10 +371,9 @@ def check_classify_roundtrip(settings, trials):
     return np.max(devs, initial=0.0), total, {"dimensions": list(settings.dimensions)}
 
 
-@check("classify", "classify.rejects_generic", trials=1000, above=1e-2)
-def check_classify_rejects_generic(settings, trials):
+@check("classify", "classify.rejects_generic", trials=1000, above=1e-2, rng="classify.generic")
+def check_classify_rejects_generic(settings, rng, trials):
     """Generic orthogonal matrices are rejected and fail the witness (``trials`` per dimension)."""
-    rng = settings.rng("classify.generic")
     total = 0
     devs = []
     for n in settings.dimensions:
@@ -382,10 +391,9 @@ def check_classify_rejects_generic(settings, trials):
     return min_dev, total, {"min_witness_deviation": min_dev}
 
 
-@check("classify", "classify.witness_agreement", trials=250, below=1)
-def check_classify_witness_agreement(settings, trials):
+@check("classify", "classify.witness_agreement", trials=250, below=1, rng="classify.agreement")
+def check_classify_witness_agreement(settings, rng, trials):
     """classify and the gauge-invariance witness agree on the whole corpus; counts disagreements."""
-    rng = settings.rng("classify.agreement")
     total, disagreements, first = 0, 0, {}
     for n in settings.dimensions:
         for batch in _batches(trials):
@@ -408,9 +416,8 @@ def check_classify_witness_agreement(settings, trials):
 
 
 @check("classify", "classify.composition", trials=200, tol=1e-9)
-def check_classify_composition(settings, trials):
+def check_classify_composition(settings, rng, trials):
     """classify of a realified product agrees with compose: the composition table."""
-    rng = settings.rng("classify.composition")
     dims = rng.integers(2, 6, trials)
     k1, k2 = rng.integers(0, 2, (2, trials))  # 1 = antiunitary
     kind, expected = np.empty((2, trials), dtype=transforms.KINDS.dtype)
@@ -453,9 +460,8 @@ def _kind_failure(sample, n, expected, found):
 
 
 @check("born", "born.exact", trials=1000, tol=1e-12)
-def check_born_exact(settings, trials):
+def check_born_exact(settings, rng, trials):
     """Arrangement distribution equals Born probabilities, phases irrelevant."""
-    rng = settings.rng("born.exact")
     devs = []
     for n in (2, 3, 5):
         for count in map(len, _batches(trials)):
@@ -468,10 +474,9 @@ def check_born_exact(settings, trials):
     return np.max(devs, initial=0.0), 3 * trials, {"dimensions": [2, 3, 5]}
 
 
-@check("simulate", "simulate.frequencies", below=3.0)
-def check_born_sampled(settings):
+@check("simulate", "simulate.frequencies", below=3.0, rng="born.sampled")
+def check_born_sampled(settings, rng):
     """Sampled result frequencies match Born probabilities within 3 sigma."""
-    rng = settings.rng("born.sampled")
     trials = 100_000  # fixed sample size
     n = 3
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
@@ -485,10 +490,9 @@ def check_born_sampled(settings):
     return np.max(z), trials, {"born": p.tolist(), "counts": counts.tolist()}
 
 
-@check("simulate", "simulate.reproducibility", trials=100_000, below=1)
-def check_born_reproducible(settings, trials):
+@check("simulate", "simulate.reproducibility", trials=100_000, below=1, rng="born.reproducible")
+def check_born_reproducible(settings, rng, trials):
     """Immediately repeating a measurement reproduces its result, always."""
-    rng = settings.rng("born.reproducible")
     n = 3
     basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng))
     arr = measurement.build_simulation(
@@ -508,10 +512,9 @@ def check_born_reproducible(settings, trials):
 # --------------------------------------------------------------- compose
 
 
-@check("compose", "compose.dual_route", trials=1000, tol=1e-12)
-def check_compose_dual_route(settings, trials):
+@check("compose", "compose.dual_route", trials=1000, tol=1e-12, rng="compose.dual")
+def check_compose_dual_route(settings, rng, trials):
     """Kronecker product agrees with the probabilities-multiply/phases-add rule."""
-    rng = settings.rng("compose.dual")
     devs = []
     for n1 in (2, 3):
         for n2 in (2, 3):
@@ -526,10 +529,9 @@ def check_compose_dual_route(settings, trials):
     return np.max(devs, initial=0.0), 4 * -(-trials // 2), {}
 
 
-@check("compose", "compose.born_factorization", trials=300, tol=1e-12)
-def check_compose_born_factorization(settings, trials):
+@check("compose", "compose.born_factorization", trials=300, tol=1e-12, rng="compose.born")
+def check_compose_born_factorization(settings, rng, trials):
     """Born distribution of a product state in a product basis factorizes."""
-    rng = settings.rng("compose.born")
     devs = []
     for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
         u1, u2 = (sampling.haar_unitary(n, rng, count=count) for n in (n1, n2))
@@ -544,10 +546,9 @@ def check_compose_born_factorization(settings, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("compose", "compose.energy_additivity", trials=1000, tol=1e-12)
-def check_compose_energy_additivity(settings, trials):
+@check("compose", "compose.energy_additivity", trials=1000, tol=1e-12, rng="compose.energy")
+def check_compose_energy_additivity(settings, rng, trials):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
-    rng = settings.rng("compose.energy")
     devs = []
     for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
         s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
@@ -557,10 +558,9 @@ def check_compose_energy_additivity(settings, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("compose", "compose.subsystem_observable", trials=200, tol=1e-12)
-def check_compose_subsystem(settings, trials):
+@check("compose", "compose.subsystem_observable", trials=200, tol=1e-12, rng="compose.subsystem")
+def check_compose_subsystem(settings, rng, trials):
     """<A (x) I> on product states equals the single-system expectation."""
-    rng = settings.rng("compose.subsystem")
     devs = []
     for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
         obs = measurement.Observable(
@@ -574,7 +574,7 @@ def check_compose_subsystem(settings, trials):
 
 
 @check("compose", "compose.degenerate_grouping", below=1e-12)
-def check_compose_degenerate_example(settings):
+def check_compose_degenerate_example(settings, rng):
     """Three results, two shared values: probabilities group as (p1, p2 + p3)."""
     basis = measurement.MeasurementBasis.standard(3)
     p = np.array([0.2, 0.3, 0.5])
@@ -593,9 +593,8 @@ def _random_phase_reps(n, count, rng):
 
 
 @check("dynamics", "dynamics.correspondence", trials=200, tol=1e-12)
-def check_dynamics_correspondence(settings, trials):
+def check_dynamics_correspondence(settings, rng, trials):
     """Stationary phase evolution matches the classical action shift."""
-    rng = settings.rng("dynamics.correspondence")
     alpha = 1.0
     devs = []
     for n, count in _groups(rng.integers(3, 8, (trials, 1))):
@@ -611,10 +610,9 @@ def check_dynamics_correspondence(settings, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("dynamics", "dynamics.unitary_evolution", trials=50, below=1)
-def check_dynamics_unitary(settings, trials):
+@check("dynamics", "dynamics.unitary_evolution", trials=50, below=1, rng="dynamics.unitary")
+def check_dynamics_unitary(settings, rng, trials):
     """Stationary evolution realifies to a map classified as unitary; counts other verdicts."""
-    rng = settings.rng("dynamics.unitary")
     dims, shift = rng.integers(2, 6, trials), rng.normal(size=trials)
     kind = np.empty(trials, dtype=transforms.KINDS.dtype)
     for n in np.unique(dims):
@@ -627,7 +625,7 @@ def check_dynamics_unitary(settings, trials):
 
 
 @check("dynamics", "dynamics.hj_residuals", below=1)
-def check_dynamics_residuals(settings):
+def check_dynamics_residuals(settings, rng):
     """Plane wave: residual 0; spreading family: second-order convergence."""
     m_mass, momentum = 1.0, 0.7
 
@@ -655,10 +653,9 @@ def check_dynamics_residuals(settings):
 # ------------------------------------------------------------------ haar
 
 
-@check("haar", "haar.metric_invariance", trials=100, tol=1e-10)
-def check_haar_metric_invariance(settings, trials):
+@check("haar", "haar.metric_invariance", trials=100, tol=1e-10, rng="haar.metric")
+def check_haar_metric_invariance(settings, rng, trials):
     """|dv|^2 between nearby states is preserved by ``trials`` gauge maps per kind."""
-    rng = settings.rng("haar.metric")
     pairs = HAAR_PAIRS_PER_MAP
     n = 3
     devs = []
@@ -670,12 +667,11 @@ def check_haar_metric_invariance(settings, trials):
 
 
 @check("haar", "haar.uniformity", above=sampling.SIGNIFICANCE)
-def check_haar_uniformity(settings):
+def check_haar_uniformity(settings, rng):
     """Pushforward of the uniform measure through a gauge map stays uniform.
 
     The residual is the lesser Bonferroni-adjusted minimum p-value of the two maps.
     """
-    rng = settings.rng("haar.uniformity")
     samples = 100_000  # fixed sample size
     n = 3
     results, adjusted = {}, []
@@ -687,10 +683,9 @@ def check_haar_uniformity(settings):
     return np.min(adjusted), samples, {"min_p_values": results}
 
 
-@check("haar", "haar.negative_control", below=sampling.SIGNIFICANCE)
-def check_haar_negative_control(settings):
+@check("haar", "haar.negative_control", below=sampling.SIGNIFICANCE, rng="haar.negative")
+def check_haar_negative_control(settings, rng):
     """A non-norm-preserving map visibly distorts the uniform measure (adjusted min p)."""
-    rng = settings.rng("haar.negative")
     samples = 100_000  # fixed sample size
     n = 3
 
@@ -701,10 +696,9 @@ def check_haar_negative_control(settings):
     return rep["adjusted_p"], samples, {"min_p_value": float(min(rep["p_values"].values()))}
 
 
-@check("haar", "haar.rotation_invariance", above=sampling.SIGNIFICANCE)
-def check_haar_rotation_invariance(settings):
+@check("haar", "haar.rotation_invariance", above=sampling.SIGNIFICANCE, rng="haar.rotation")
+def check_haar_rotation_invariance(settings, rng):
     """Disjoint halves of a uniform sample, each projected on a fixed direction, agree (KS p)."""
-    rng = settings.rng("haar.rotation")
     samples = 20_000  # fixed sample size
     n = 3
     states = sampling.sample_uniform(n, samples, rng)

@@ -11,9 +11,7 @@ import time
 import pytest
 
 from qig import cli
-from qig.harness import SUITES, Settings, run_check
-
-CHECKS = {entry[0]: (suite, entry) for suite, entries in SUITES.items() for entry in entries}
+from qig.harness import CHECKS, Settings, run_check
 
 SETTINGS = Settings()
 
@@ -23,7 +21,7 @@ def run_criterion(capsys, number, description, check_names, budget_seconds):
     failures = []
     worsts = {}
     for name in check_names:
-        report = run_check(*CHECKS[name], SETTINGS)
+        report = run_check(CHECKS[name], SETTINGS)
         worsts[name] = report["max_residual"]
         if report["status"] != "pass":
             failures.append((name, report["max_residual"], report["details"]))

@@ -17,9 +17,11 @@ public function takes a ``stacked`` flag.
 import collections
 import inspect
 import json
+import re
 import sys
 import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,8 +369,7 @@ def mutant(monkeypatch, module, old, new):
     return copy
 
 
-CHECKS = {entry[0]: (suite, entry) for suite, entries in harness.SUITES.items()
-          for entry in entries}
+CHECKS = harness.CHECKS
 SMALL = harness.Settings(trials={"classify": 60, "simulate": 2000})
 
 DET_FLIP = ("sigma = np.where(b00 * b11 - b01 * b10 > 0, 1, -1) * live",
@@ -454,14 +455,14 @@ def install(monkeypatch, module, old, new):
 def run_with(monkeypatch, module, old, new, names):
     """Run the named checks at ``SMALL`` settings against a mutated copy of ``module``."""
     install(monkeypatch, module, old, new)
-    return {name: harness.run_check(*CHECKS[name], SMALL) for name in names}
+    return {name: harness.run_check(CHECKS[name], SMALL) for name in names}
 
 
 @pytest.mark.parametrize("defect", MUTANTS)
 def test_planted_defect_fails_its_check(defect, monkeypatch):
     module, old, new, names = MUTANTS[defect]
     for name in names:
-        assert harness.run_check(*CHECKS[name], SMALL)["status"] == "pass", name
+        assert harness.run_check(CHECKS[name], SMALL)["status"] == "pass", name
     for name, report in run_with(monkeypatch, module, old, new, names).items():
         # an infinite margin is written as null: a residual of 0 under a lower
         # bound, or an infinite residual (also null), which only a wrong kind
@@ -497,7 +498,7 @@ def test_nan_from_a_kernel_fails_its_checks(kernel, monkeypatch):
     monkeypatch.setattr(*kernel, stand_in)
     few = harness.Settings(trials=dict.fromkeys(harness.overridable("trials"), 20))
     for name in names:
-        report = harness.run_check(*CHECKS[name], few)
+        report = harness.run_check(CHECKS[name], few)
         assert report["status"] == "fail", (name, report)
 
 
@@ -531,17 +532,18 @@ def test_wrong_kind_reports_first_failure(monkeypatch):
     assert reports["classify.composition"]["max_residual"] is None
     loose = harness.Settings(trials={"classify": 60}, tolerances={"classify": 1e300})
     for name in ("classify.roundtrip", "classify.composition"):
-        assert harness.run_check(*CHECKS[name], loose)["status"] == "fail", name
+        assert harness.run_check(CHECKS[name], loose)["status"] == "fail", name
 
 
-def test_first_failure_only_reports():
+def test_first_failure_only_reports(monkeypatch):
     # the verdict compares the residual with the bound and reads nothing from details
+    monkeypatch.setattr(harness, "CHECKS", {})
     for residual, status in ((0.5, "pass"), (1.0, "fail")):
-        def stub(settings, residual=residual):
+        @harness.check("stub", "stub.check", below=1)
+        def stub(settings, rng, residual=residual):
             return residual, 1, {"first_failure": {"sample": 0}}
 
-        report = harness.run_check("stub", ("stub.check", stub, None, None, 1, None),
-                                   harness.Settings())
+        report = harness.run_check(harness.CHECKS["stub.check"], harness.Settings())
         assert report["status"] == status and report["margin"] == residual
 
 
@@ -642,7 +644,7 @@ def verdicts(name, settings):
     reference, bound = FOLDED[name]
     knobs = {"trials": settings.trials["metric"]} if name == "metric.geodesic" else {}
     residual, _, details = reference(settings, **knobs)
-    report = harness.run_check(*CHECKS[name], settings)
+    report = harness.run_check(CHECKS[name], settings)
     assert report["tolerance"] == 1 and "first_failure" not in report["details"], report
     return report["status"] == "pass", bool(residual < bound and "first_failure" not in details)
 
@@ -674,14 +676,50 @@ def test_folded_checks_keep_the_reference_verdicts_under_their_mutants(monkeypat
     assert len(folded) == 3 and all(seen[name] == {True, False} for name in FOLDED), seen
 
 
-def test_composition_tolerance_is_declared():
+@pytest.mark.parametrize("bounds", [{}, {"tol": 1e-9, "below": 1}, {"above": 1, "below": 2},
+                                    {"upper": 1}, {"tol": 1e-9, "upper": 1}])
+def test_check_declares_exactly_one_bound(bounds, monkeypatch):
     # every check declares exactly one bound: a tol, a fixed below or a fixed above
-    for suite, entry in CHECKS.values():
-        assert [b is not None for b in entry[3:]].count(True) == 1, entry[0]
-    report = harness.run_check(*CHECKS["classify.composition"], harness.Settings())
+    monkeypatch.setattr(harness, "CHECKS", {})
+    with pytest.raises(TypeError, match="stub.check must declare one of tol, below or above"):
+        harness.check("stub", "stub.check", trials=10, **bounds)
+    assert harness.CHECKS == {}
+
+
+def test_rng_labels_are_unique():
+    # two checks drawing one stream would correlate their false alarms
+    labels = [record["rng"] for record in CHECKS.values()]
+    assert len(labels) == len(set(labels)) == 28
+
+
+def readme_table(header):
+    """The rows of the README table under ``header``, each a list of its cells."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(header + "\n")[1].split("\n\n")[0]
+    return [row.strip("| ").split(" | ") for row in table.splitlines()[1:]]
+
+
+def test_readme_tables_match_the_registry():
+    documented = {}
+    for names, _, bound in readme_table("| check | residual | bound |"):
+        side, value = bound.split(" ", 1)
+        for name in re.findall(r"`([\w.-]+)`", names):
+            documented[name] = side
+            if value[0].isdigit():
+                assert float(value) == CHECKS[name]["bound"], (name, bound)
+    declared = {name: r["side"] for name, r in CHECKS.items() if r["side"] != "tol"}
+    assert documented == declared and len(declared) == 15
+    labels = {name.strip("`"): label.strip("`")
+              for name, label in readme_table("| check | `rng` label |")}
+    assert labels == {name: r["rng"] for name, r in CHECKS.items() if r["rng"] != name}
+    assert len(labels) == 13
+
+
+def test_composition_tolerance_is_declared():
+    report = harness.run_check(CHECKS["classify.composition"], harness.Settings())
     assert report["status"] == "pass" and report["tolerance"] == 1e-9
     strict = harness.Settings(tolerances={"classify": 1e-300})
-    assert harness.run_check(*CHECKS["classify.composition"], strict)["status"] == "fail"
+    assert harness.run_check(CHECKS["classify.composition"], strict)["status"] == "fail"
 
 
 # --------------------------------------------------------------- validate once
@@ -710,7 +748,7 @@ def validation_counts(monkeypatch, names, config):
         per_check = {}
         for name in names:
             counts.clear()
-            assert harness.run_check(*CHECKS[name], config)["status"] == "pass", name
+            assert harness.run_check(CHECKS[name], config)["status"] == "pass", name
             per_check[name] = dict(counts)
     return per_check
 

@@ -8,7 +8,7 @@ import pytest
 
 import qig
 from qig import cli
-from qig.harness import SUITES, overridable
+from qig.harness import CHECKS, overridable, suites
 from qig.sampling import SIGNIFICANCE
 
 
@@ -79,8 +79,8 @@ def test_all_runs_every_suite(capsys):
     code, out = run_cli(["all", "--trials", "20", "--n", "2..3"], capsys)
     reports, summary = parse_reports(out)
     assert code == 0
-    assert set(r["suite"] for r in reports) == set(SUITES)
-    assert summary["suites"] == sorted(SUITES)
+    assert set(r["suite"] for r in reports) == set(suites())
+    assert summary["suites"] == suites()
 
 
 def test_unknown_suite_rejected(capsys):
@@ -174,10 +174,14 @@ def test_config_file_and_env_var(tmp_path, capsys, monkeypatch):
     ({"dimensions": [2.5, 3]}, [], "need integer dimensions, each >= 2; got [2.5, 3]"),
     ({"tolerances": {"metric": "1e-3"}}, [], "tolerance not a finite number > 0 for metric"),
     ({"sed": 3}, [], "unknown config key(s) sed; valid keys: dimensions, seed, tolerances, trials"),
+    # the config is checked as given, before a flag replaces one of its values
+    ({"trials": {"metric": "5"}}, ["--trials", "2"], "trial count below 1 or not an integer"),
+    ({"tolerances": {"metric": 0}}, ["--tol", "metric=1e-3"], "tolerance not a finite number"),
+    ({"seed": "x"}, ["--seed", "3"], "seed must be an integer >= 0, not 'x'"),
+    ({"dimensions": [1]}, ["--n", "2"], "need integer dimensions, each >= 2; got [1]"),
 ])
 def test_bad_config_or_out_path_exits_2(tmp_path, capsys, config, flags, message):
-    # exit status 1 means a check failed; bad input must not look like that.
-    # No --trials here: it would replace a config's trial counts before they are checked.
+    # exit status 1 means a check failed; bad input must not look like that
     path = tmp_path / "verify.json"
     path.write_text(json.dumps(config))
     argv = ["metric"] + (["--config", str(path)] if config is not None else [])
@@ -220,8 +224,8 @@ def test_trials_reach_every_declared_count(suite, capsys):
         _, out = run_cli([suite, "--n", "2", "--trials", trials], capsys)
         reports, _ = parse_reports(out)
         counts.append({r["check"]: r["trials"] for r in reports})
-    for name, _, default_trials, *_ in SUITES[suite]:
-        if default_trials is not None:
+    for name, record in CHECKS.items():
+        if record["suite"] == suite and record["trials"] is not None:
             assert counts[0][name] != counts[1][name], name
 
 
