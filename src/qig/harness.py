@@ -439,9 +439,9 @@ def check_classify_composition(settings, rng, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-def _batches(trials):
-    """Successive ranges of at most ``BATCH`` sample indices, covering ``trials`` samples."""
-    return [range(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
+def _batches(trials, size=BATCH):
+    """Successive ranges of at most ``size`` sample indices, covering ``trials`` samples."""
+    return [range(s, min(s + size, trials)) for s in range(0, trials, size)]
 
 
 def _groups(dims):
@@ -498,15 +498,18 @@ def check_born_reproducible(settings, rng, trials):
     arr = measurement.build_simulation(
         basis, theta=rng.uniform(0, 2 * np.pi, n), theta_out=rng.uniform(0, 2 * np.pi, n))
     v = sampling.sample_uniform(n, 1, rng)[0]
-    u = rng.random((trials, 2))  # per trial: the first measurement's draw, then the repeat's
-    i, out = measurement.simulate_batch(arr, v, u[:, 0])
-    j, _ = measurement.simulate_batch(arr, out, u[:, 1])
-    mismatched = np.flatnonzero(i != j)
-    details = {"mismatches": mismatched.size}
-    if mismatched.size:
-        t = int(mismatched[0])
-        details["first_failure"] = {"sample": t, "result": int(i[t]), "repeat": int(j[t])}
-    return mismatched.size, trials, details
+    mismatches, failure = 0, {}
+    for batch in _batches(trials, sampling.BLOCK):
+        u = rng.random((len(batch), 2))  # per trial: the first measurement's draw, the repeat's
+        i, out = measurement.simulate_batch(arr, v, u[:, 0])
+        j, _ = measurement.simulate_batch(arr, out, u[:, 1])
+        mismatched = np.flatnonzero(i != j)
+        if mismatched.size and not failure:
+            t = int(mismatched[0])
+            failure = {"first_failure": {"sample": batch.start + t, "result": int(i[t]),
+                                         "repeat": int(j[t])}}
+        mismatches += mismatched.size
+    return mismatches, trials, {"mismatches": mismatches, **failure}
 
 
 # --------------------------------------------------------------- compose

@@ -8,10 +8,17 @@ standard normals from a caller's generator, ``sample_uniform(n, count,
 rng)``; a batch draws each kind of value as one array call, not sample by
 sample.  ``measure_invariance_check`` tests a gauge map;
 ``pushforward_uniformity`` tests any callable, as negative controls do.
-Their chi-squared p-values, and the two-sample Kolmogorov-Smirnov p-value
-of ``_ks_pvalue``, come from ``scipy.special``, imported on first use, so
-importing the package loads numpy alone.
+It draws the whole sample, then pushes, normalizes and bins it in blocks
+of ``BLOCK`` rows, so its working set does not grow with the sample size
+beyond the draw itself.  Its chi-squared p-values and the two-sample
+Kolmogorov-Smirnov p-value of ``_ks_pvalue`` use two tails written with
+stdlib ``math``, so the module needs numpy alone: the chi-squared survival
+function by its finite sums for integer degrees of freedom (Abramowitz and
+Stegun 26.4.4-26.4.5), and the Kolmogorov tail by its two theta-function
+series (Marsaglia, Tsang and Wang, J. Stat. Softw. 8(18), 2003).
 """
+
+import math
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .transforms import apply
 # family-wise false-alarm rate of the Bonferroni uniformity verdict
 SIGNIFICANCE = 0.001
 DISPLACEMENT = 1e-4  # |dv| within a metric_invariance_check pair
+BLOCK = 8192  # rows of a 100k-sample test handled at once, which bounds its working set
 
 
 def sample_uniform(n, count, rng):
@@ -29,11 +37,21 @@ def sample_uniform(n, count, rng):
 
     Rows of a (count, n) complex array, drawn from the generator ``rng``.
     """
+    return _states(_normal_parts(n, count, rng))
+
+
+def _normal_parts(n, count, rng):
+    """(2, count, n) standard normals: real parts of ``count`` states, then imaginary parts."""
     if n < 1:
         raise ValueError("dimension must be positive")
     if count < 1:
         raise ValueError("count must be positive")
-    z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    return rng.normal(size=(2, count, n))
+
+
+def _states(x):
+    """Uniform states, rows of (x[0] + i x[1]) / |x[0] + i x[1]|, from normal parts ``x``."""
+    z = x[0] + 1j * x[1]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -84,43 +102,61 @@ def metric_invariance_check(g, pairs, rng):
     return worst if stack else float(worst)
 
 
-def _uniformity_pvalues(states, bins):
-    """Chi-squared p-values of uniformity statistics of a state sample.
+def _uniformity_pvalues(blocks, bins):
+    """Chi-squared p-values of uniformity statistics of a state sample, given in row blocks.
 
     For uniform states the per-component probability |v_i|^2 is
     Beta(1, N-1) distributed and pairwise relative phases are uniform
     on [0, 2pi); each statistic is transformed to [0, 1) by its CDF and
-    binned against equal expected counts.  The phases come from one
-    ``arctan2`` over the sample, in turns, so a relative phase is a
-    difference of turns wrapped into [0, 1).
+    binned against equal expected counts.  The bin counts of the blocks
+    add up, so the p-values depend only on the whole sample, not on how
+    it is split.
     """
-    count, n = states.shape
-    pvals = {}
+    totals, size = {}, 0
+    for states in blocks:
+        size += states.shape[0]
+        for name, counts in _uniformity_counts(states, bins).items():
+            totals[name] = totals.get(name, 0) + counts
+    return {name: _chi2_pvalue(counts, size) for name, counts in totals.items()}
+
+
+def _uniformity_counts(states, bins):
+    """Bin counts of each uniformity statistic of the (count, N) ``states``.
+
+    The phases come from one ``arctan2`` over the sample, in turns, so a
+    relative phase is a difference of turns wrapped into [0, 1).
+    """
+    n = states.shape[1]
+    counts = {}
     probs = np.abs(states) ** 2
     for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
         u = 1.0 - probs[:, i]
         u **= n - 1
-        pvals[f"|v_{i}|^2"] = _chi2_uniform(np.subtract(1.0, u, out=u), bins)
+        counts[f"|v_{i}|^2"] = _bin_counts(np.subtract(1.0, u, out=u), bins)
     turns = np.arctan2(states.imag, states.real)
     turns /= TWO_PI
     for i in range(n):
         for j in range(i + 1, n):
             rel = turns[:, i] - turns[:, j]
             rel += rel < 0.0
-            pvals[f"arg(v_{i}/v_{j})"] = _chi2_uniform(rel, bins)
-    return pvals
+            counts[f"arg(v_{i}/v_{j})"] = _bin_counts(rel, bins)
+    return counts
 
 
-def _chi2_uniform(u, bins):
-    """Chi-squared p-value of the counts of ``u`` in ``bins`` equal bins of [0, 1].
+def _chi2_pvalue(counts, size):
+    """Chi-squared p-value of bin ``counts`` of ``size`` values against equal expected counts."""
+    expected = size / counts.size
+    stat = np.sum((counts - expected) ** 2 / expected)
+    return _chi2_sf(counts.size - 1, float(stat))
 
-    Counts as ``np.histogram(u, bins, range=(0, 1))`` does: bin k is
-    [e_k, e_k+1) for the edges e = ``np.linspace(0, 1, bins + 1)``, 1.0
-    falls in the last bin, and NaN and values outside [0, 1] are not
-    counted (but still count in the expected ``u.size / bins``).
+
+def _bin_counts(u, bins):
+    """Counts of ``u`` in ``bins`` equal bins of [0, 1], as ``np.histogram`` counts them.
+
+    Bin k is [e_k, e_k+1) for the edges e = ``np.linspace(0, 1, bins + 1)``,
+    1.0 falls in the last bin, and NaN and values outside [0, 1] are not
+    counted.
     """
-    from scipy.special import chdtrc
-
     u = np.asarray(u, dtype=float)
     inside = u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0  # False on NaN
     x = u if inside else u[(u >= 0.0) & (u <= 1.0)]
@@ -135,25 +171,72 @@ def _chi2_uniform(u, bins):
     if near.size:
         edges = np.linspace(0.0, 1.0, bins + 1)
         k[near] = np.minimum(np.searchsorted(edges, x[near], "right") - 1, bins - 1)
-    counts = np.bincount(k, minlength=bins)
-    expected = u.size / bins
-    stat = np.sum((counts - expected) ** 2 / expected)
-    return float(chdtrc(bins - 1, stat))
+    return np.bincount(k, minlength=bins)
+
+
+def _chi2_sf(df, x):
+    """P(chi^2 with ``df`` degrees of freedom > ``x``), for an integer ``df`` >= 1.
+
+    With y = x/2 it is the finite sum e^-y sum_{j<k} y^j / j! for df = 2k,
+    and erfc(sqrt y) + e^-y sum_{j=1..k} y^(j-1/2) / Gamma(j + 1/2) for
+    df = 2k + 1 (Abramowitz and Stegun 26.4.4-26.4.5): positive terms, each
+    from the last by one product.  e^-y enters as two factors e^-y/2, so
+    that for df below about 500 the terms keep full precision until the
+    tail itself falls below the least normal double.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = x / 2.0
+    k, odd = divmod(df, 2)
+    half = math.exp(-y / 2.0)
+    term, j = (2.0 * half * math.sqrt(y / math.pi), 1.5) if odd else (half, 1.0)
+    total = 0.0
+    for _ in range(k):
+        total += term
+        term *= y / j
+        j += 1.0
+    total *= half
+    if odd:
+        total += math.erfc(math.sqrt(y))
+    return min(total, 1.0)  # the sum can round an ulp above 1 at small x
+
+
+def _kolmogorov_sf(x):
+    """P(K > ``x``) for the Kolmogorov distribution K, the limit of sqrt(n) D_n.
+
+    Below 0.8 it is 1 - sqrt(2 pi) / x sum_k e^-((2k-1)^2 pi^2 / (8 x^2)),
+    and from 0.8 up 2 sum_k (-1)^(k-1) e^(-2 k^2 x^2) (Marsaglia, Tsang and
+    Wang, J. Stat. Softw. 8(18), 2003); where each is used, the terms left
+    out are below 1e-20 of the sum.  At 0.1 and below it is 1.0 to double
+    precision.
+    """
+    if x <= 0.1:
+        return 1.0
+    if x < 0.8:
+        a = -(math.pi / x) ** 2 / 8.0
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(math.exp(a * (2 * k - 1) ** 2)
+                                                       for k in range(1, 4))
+    a = -2.0 * x * x
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(a * k * k) for k in range(1, 8))
 
 
 def _ks_pvalue(x, y):
     """Two-sample Kolmogorov-Smirnov p-value of independent samples ``x`` and ``y``.
 
-    The statistic is D = max |F_x - F_y| over the pooled points; the
-    p-value is the asymptotic Kolmogorov tail at sqrt(n m / (n + m)) D.
+    The p-value is the asymptotic Kolmogorov tail at sqrt(n m / (n + m)) D
+    of the statistic D of :func:`_ks_statistic`.
     """
-    from scipy.special import kolmogorov
+    return _kolmogorov_sf(math.sqrt(x.size * y.size / (x.size + y.size)) * _ks_statistic(x, y))
 
+
+def _ks_statistic(x, y):
+    """D = max |F_x - F_y| over the pooled points of ``x`` and ``y``."""
     x, y = np.sort(x), np.sort(y)
     pooled = np.concatenate([x, y])
-    d = np.max(np.abs(np.searchsorted(x, pooled, "right") / x.size
-                      - np.searchsorted(y, pooled, "right") / y.size))
-    return float(kolmogorov(np.sqrt(x.size * y.size / (x.size + y.size)) * d))
+    return float(np.max(np.abs(np.searchsorted(x, pooled, "right") / x.size
+                               - np.searchsorted(y, pooled, "right") / y.size)))
 
 
 def measure_invariance_check(g, samples, bins, rng):
@@ -176,10 +259,16 @@ def pushforward_uniformity(transform, n, samples, bins, rng):
     statistics.  Returns a dict with the per-statistic ``p_values`` and
     their Bonferroni-adjusted minimum ``adjusted_p`` (1 if there are none).
     For a uniform pushforward, ``adjusted_p <= SIGNIFICANCE`` has probability
-    at most ``SIGNIFICANCE``.
+    at most ``SIGNIFICANCE``.  The draws are those of ``sample_uniform(n,
+    samples, rng)``; the states are made, pushed and binned ``BLOCK`` rows
+    at a time.
     """
-    pushed = transform(sample_uniform(n, samples, rng))
-    pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
-    pvals = _uniformity_pvalues(pushed, bins)
+    x = _normal_parts(n, samples, rng)
+
+    def pushed(start):
+        z = transform(_states(x[:, start:start + BLOCK]))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    pvals = _uniformity_pvalues((pushed(s) for s in range(0, samples, BLOCK)), bins)
     adjusted = float(np.min([len(pvals) * p for p in pvals.values()], initial=1.0))
     return {"p_values": pvals, "adjusted_p": adjusted}

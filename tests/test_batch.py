@@ -416,8 +416,7 @@ MUTANTS = {
     "|Q_q| as the outcome probability": (
         qspace, "P = q * q", "P = np.abs(q)", ["metric.qspace_euclidean"]),
     "uniform draw with a doubled real part": (
-        sampling, "z = rng.normal(size=(count, n)) + 1j",
-        "z = 2 * rng.normal(size=(count, n)) + 1j", ["haar.uniformity"]),
+        sampling, "z = x[0] + 1j * x[1]", "z = 2 * x[0] + 1j * x[1]", ["haar.uniformity"]),
     "Beta CDF with exponent n": (sampling, "u **= n - 1", "u **= n", ["haar.uniformity"]),
     "KS statistic of an unsorted x": (
         sampling, "x, y = np.sort(x), np.sort(y)", "y = np.sort(y)",

@@ -239,26 +239,24 @@ def test_one_trial_runs_every_check(capsys):
     assert code == 1 and summary["error"] == 0
 
 
-@pytest.mark.parametrize("argv", [None, ["metric", "--trials", "2"],
-                                  ["classify", "--trials", "2", "--n", "2"],
-                                  ["haar", "--trials", "2"]])
-def test_scipy_is_loaded_on_demand(argv):
-    # importing scipy.stats would be most of verify's start-up; only the haar
-    # p-values need scipy, and they import scipy.special when called
-    call = f"cli.main({argv!r})" if argv else "pass"
+def test_verify_all_runs_without_scipy():
+    # the library needs numpy alone: with scipy made unimportable, verify all
+    # passes every check, and no scipy module is loaded
     code = ("import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "from qig import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    {call}\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['all'])\n"
+            "loaded = sorted(m for m, module in sys.modules.items()\n"
+            "                if m.split('.')[0] == 'scipy' and module is not None)\n"
+            "print(json.dumps([code, out.getvalue().splitlines()[-1], loaded]))")
     src = str(Path(qig.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    modules = json.loads(out)
-    if argv and argv[0] == "haar":
-        assert "scipy.special" in modules
-        assert [m for m in modules if m.startswith("scipy.stats")] == []
-    else:
-        assert modules == []
+    exit_code, summary, loaded = json.loads(out)
+    summary = json.loads(summary)
+    assert exit_code == 0
+    assert summary["checks"] == summary["pass"] == len(CHECKS) == 28
+    assert loaded == []

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from qig import sampling, transforms
+from qig import harness, sampling, transforms
 
 
 def test_sampler_validation():
@@ -104,32 +106,77 @@ def test_chi2_pvalue_equals_scipy_stats():
             counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
             ref = stats.chisquare(counts).pvalue  # the chi2.sf of the statistic, bins - 1 dof
             assert ref > 0
-            assert_allclose(sampling._chi2_uniform(u, bins), ref, rtol=1e-12, atol=0)
+            p = sampling._chi2_pvalue(sampling._bin_counts(u, bins), u.size)
+            assert_allclose(p, ref, rtol=1e-12, atol=0)
 
 
-def reference_uniformity_pvalues(states, bins):
-    """``sampling._uniformity_pvalues`` with one ``np.angle`` per phase pair, kept verbatim."""
+# largest relative error of the stdlib tails against scipy.special allowed by the
+# tests below; over their sweeps the errors were at most 4.6e-14 (chi-squared,
+# where erfc(sqrt(x / 2)) alone amplifies rounding by about x) and 9.4e-15 (Kolmogorov)
+TAIL_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("df", [1, 2, 9, 24, 49])
+def test_chi2_tail_matches_scipy(df):
+    x = np.concatenate([np.geomspace(1e-10, 1.0, 200), np.linspace(1.0, 400.0, 4000)])
+    got = [sampling._chi2_sf(df, float(v)) for v in x]
+    assert_allclose(got, special.chdtrc(df, x), rtol=TAIL_RTOL, atol=0)
+
+
+def test_kolmogorov_tail_matches_scipy():
+    x = np.concatenate([np.geomspace(1e-3, 0.1, 50), np.linspace(0.1, 6.0, 6000)])
+    got = [sampling._kolmogorov_sf(float(v)) for v in x]
+    assert_allclose(got, special.kolmogorov(x), rtol=TAIL_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 48, 49])
+def test_chi2_tail_edges(df):
+    for x in (0.0, -0.0, -1.0, -np.inf):
+        assert sampling._chi2_sf(df, x) == 1.0
+    for x in (1e4, 1e20, 1e300, np.inf):  # e^-y underflows: 0, never NaN or negative
+        assert sampling._chi2_sf(df, x) == 0.0
+    # in [0, 1] and non-increasing, up to rounding where the sum of its terms is near 1
+    tails = [sampling._chi2_sf(df, x) for x in np.linspace(0.0, 3000.0, 30001)]
+    assert all(0.0 <= b <= a * (1.0 + 1e-15) and b <= 1.0 for a, b in zip(tails, tails[1:]))
+
+
+def test_kolmogorov_tail_edges():
+    for x in (0.0, -0.0, -1.0, -np.inf, 1e-300, 0.05, 0.1):
+        assert sampling._kolmogorov_sf(x) == 1.0
+    for x in (40.0, 1e10, 1e300, np.inf):
+        assert sampling._kolmogorov_sf(x) == 0.0
+    # continuous where the theta series hands over to the alternating one (0.8),
+    # and where it gives way to 1.0 (0.1)
+    for cut in (0.1, 0.8):
+        below, above = np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)
+        values = [sampling._kolmogorov_sf(x) for x in (below, cut, above)]
+        assert_allclose(values, special.kolmogorov([below, cut, above]), rtol=TAIL_RTOL)
+        assert np.ptp(values) <= 4e-16
+    tails = [sampling._kolmogorov_sf(x) for x in np.linspace(0.0, 7.0, 7001)]
+    assert all(0.0 <= b <= a <= 1.0 for a, b in zip(tails, tails[1:]))
+
+
+def reference_uniformity_counts(states, bins):
+    """Bin counts of ``sampling._uniformity_counts``, with ``np.histogram`` and one
+    ``np.angle`` per phase pair, as ``_uniformity_pvalues`` once counted them."""
     count, n = states.shape
-    pvals = {}
+    counts = {}
     probs = np.abs(states) ** 2
     for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
         u = 1.0 - (1.0 - probs[:, i]) ** (n - 1)
-        pvals[f"|v_{i}|^2"] = reference_chi2_uniform(u, bins)
+        counts[f"|v_{i}|^2"] = np.histogram(u, bins=bins, range=(0.0, 1.0))[0]
     for i in range(n):
         for j in range(i + 1, n):
             rel = np.angle(states[:, i] * states[:, j].conj()) % (2.0 * np.pi)
-            pvals[f"arg(v_{i}/v_{j})"] = reference_chi2_uniform(rel / (2.0 * np.pi), bins)
-    return pvals
+            counts[f"arg(v_{i}/v_{j})"] = np.histogram(
+                rel / (2.0 * np.pi), bins=bins, range=(0.0, 1.0))[0]
+    return counts
 
 
-def reference_chi2_uniform(u, bins):
-    """``sampling._chi2_uniform`` counting with ``np.histogram``, kept verbatim."""
-    from scipy.special import chdtrc
-
-    counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
-    expected = u.size / bins
-    stat = np.sum((counts - expected) ** 2 / expected)
-    return float(chdtrc(bins - 1, stat))
+def reference_chi2_pvalue(counts, size):
+    """The chi-squared p-value of bin counts, by ``scipy.special.chdtrc``."""
+    expected = size / counts.size
+    return float(special.chdtrc(counts.size - 1, np.sum((counts - expected) ** 2 / expected)))
 
 
 @pytest.mark.parametrize("bins", [25, 40, 50])
@@ -142,8 +189,14 @@ def test_uniformity_pvalues_equal_the_histogram_reference(bins):
             states = sampling.sample_uniform(n, 5000, rng)
             squared = states**2 / np.linalg.norm(states**2, axis=1, keepdims=True)
             for sample in (states, squared):
-                assert sampling._uniformity_pvalues(sample, bins) == (
-                    reference_uniformity_pvalues(sample, bins))
+                counts = sampling._uniformity_counts(sample, bins)
+                ref = reference_uniformity_counts(sample, bins)
+                assert counts.keys() == ref.keys()
+                assert all(np.array_equal(counts[k], ref[k]) for k in ref)
+                pvals = sampling._uniformity_pvalues([sample], bins)
+                assert pvals.keys() == ref.keys()
+                for k, c in ref.items():
+                    assert_allclose(pvals[k], reference_chi2_pvalue(c, 5000), rtol=TAIL_RTOL)
 
 
 @pytest.mark.parametrize("bins", [25, 40, 50])
@@ -156,11 +209,73 @@ def test_chi2_counts_edges_as_the_histogram_reference(bins):
     near = [edges, below, above, np.nextafter(below, -1.0), np.nextafter(above, 2.0)]
     odd = [np.nan, -0.0, 1.0, 1.0, -1e-300, 1.5, np.inf, -np.inf]
     rng = np.random.default_rng(bins)
+    outside = np.array(odd[-4:] + [np.nan])  # nothing counted
     for fill in (0, 2000):
         u = rng.permutation(np.concatenate(near + [odd, rng.random(fill)]))
-        assert sampling._chi2_uniform(u, bins) == reference_chi2_uniform(u, bins)
-    outside = np.array(odd[-4:] + [np.nan])  # nothing counted
-    assert sampling._chi2_uniform(outside, bins) == reference_chi2_uniform(outside, bins)
+        for sample in (u, outside):
+            counts = sampling._bin_counts(sample, bins)
+            ref, _ = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+            assert np.array_equal(counts, ref)
+            # values not counted still count in the expected counts
+            assert_allclose(sampling._chi2_pvalue(counts, sample.size),
+                            reference_chi2_pvalue(ref, sample.size), rtol=TAIL_RTOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_block_pvalues_equal_the_whole_sample(n):
+    # bin counts add over blocks, so any split gives the whole sample's p-values exactly
+    states = sampling.sample_uniform(n, 7001, np.random.default_rng(n))
+    whole = sampling._uniformity_pvalues([states], 30)
+    for pieces in (2, 3, 7, 50):
+        assert sampling._uniformity_pvalues(np.array_split(states, pieces), 30) == whole
+
+
+def test_pushforward_blocks_equal_the_whole_sample():
+    # pushforward_uniformity draws as sample_uniform does and bins BLOCK rows at a
+    # time; a row-wise map gives exactly the p-values of the whole pushed sample
+    samples = 2 * sampling.BLOCK + 1000
+    for transform in (np.conj, np.square):
+        rep = sampling.pushforward_uniformity(transform, 3, samples, 40, np.random.default_rng(5))
+        pushed = transform(sampling.sample_uniform(3, samples, np.random.default_rng(5)))
+        pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
+        assert rep["p_values"] == sampling._uniformity_pvalues([pushed], 40)
+
+
+# Peak traced allocation of a 100k-sample check.  pushforward_uniformity keeps its
+# draw, 2 * samples * n floats (4.8 MB at n = 3), for the whole test; each block
+# of BLOCK rows makes arrays of BLOCK * n complex numbers (BLOCK * n * 16 bytes,
+# 0.39 MB at n = 3), of which at most four or five are live at once (peaks of
+# 1.6 MB above the draw here, and 1.9 MB in simulate.reproducibility, whose draws
+# are per block).  The bound allows eight such arrays above the draw.  Unblocked,
+# the peaks were 14.4 MB and 17.6 MB.
+def block_peak_bound(draw_floats, n):
+    float_bytes, complex_bytes = 8, 16
+    return draw_floats * float_bytes + 8 * sampling.BLOCK * n * complex_bytes
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+def test_measure_invariance_check_peak_is_bounded_by_the_block(kind):
+    samples, n = 100_000, 3
+    g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, np.random.default_rng(0)))
+    peak = traced_peak(sampling.measure_invariance_check, g, samples, 50,
+                       np.random.default_rng(1))
+    assert peak <= block_peak_bound(2 * samples * n, n)
+
+
+def test_reproducibility_check_peak_is_bounded_by_the_block():
+    record = harness.CHECKS["simulate.reproducibility"]
+    assert record["trials"] == 100_000
+    peak = traced_peak(harness.run_check, record, harness.Settings())
+    assert peak <= block_peak_bound(0, 3)
 
 
 @pytest.mark.parametrize("n, m", [(20000, 20000), (20000, 12000)])
@@ -169,9 +284,11 @@ def test_ks_pvalue_matches_scipy_stats(n, m):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=n), rng.normal(size=m)
         ref = stats.ks_2samp(x, y, method="asymp")
+        assert sampling._ks_statistic(x, y) == ref.statistic
+        # the same statistic: its Kolmogorov tail is the helper's p-value
         p = sampling._ks_pvalue(x, y)
-        # the same statistic: its Kolmogorov tail is the helper's p-value, bit for bit
-        assert p == special.kolmogorov(np.sqrt(n * m / (n + m)) * ref.statistic)
+        assert_allclose(p, special.kolmogorov(np.sqrt(n * m / (n + m)) * ref.statistic),
+                        rtol=TAIL_RTOL, atol=0)
         # scipy's asymptotic two-sided p-value is the finite-n Kolmogorov law at
         # n m / (n + m) points; over seeds 0..999 of these draws the two differed
         # by at most 1.5 % relative, and the bound allows twice that
