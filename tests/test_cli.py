@@ -239,6 +239,26 @@ def test_one_trial_runs_every_check(capsys):
     assert code == 1 and summary["error"] == 0
 
 
+@pytest.mark.parametrize("argv", [None, ["metric", "--trials", "2"],
+                                  ["classify", "--trials", "2", "--n", "2"],
+                                  ["haar", "--trials", "2"]])
+def test_scipy_is_loaded_on_demand(argv):
+    # scipy is needed only on demand, and verify never demands it: importing
+    # the cli or running a suite, the haar p-values included, loads no scipy module
+    call = f"cli.main({argv!r})" if argv else "pass"
+    code = ("import contextlib, io, json, sys\n"
+            "from qig import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {call}\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    src = str(Path(qig.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert json.loads(out) == []
+
+
 def test_verify_all_runs_without_scipy():
     # the library needs numpy alone: with scipy made unimportable, verify all
     # passes every check, and no scipy module is loaded
