@@ -8,7 +8,11 @@ hands each check its generator, derived from the master seed and the
 record's label, so checks can run in any order (or concurrently) without
 changing results.  A check returns ``(residual, trials, details)`` and
 never its verdict: :func:`run_check` is the one place that compares a
-residual with its bound.  A batch draws each kind of random value as one
+residual with its bound.  A check that samples per dimension walks its
+samples with :func:`_groups`: dimension by dimension (or row by row of
+dimensions) in ascending order, each in draw order, in batches of at most
+:data:`BATCH`.  It runs every sample, and a ``first_failure`` names the
+first failing sample the walk reaches.  A batch draws each kind of random value as one
 array call, so a check's stream depends on :data:`BATCH`.  Statistical
 checks keep fixed sample sizes and bounds; their false-alarm rate depends
 on them.
@@ -180,9 +184,9 @@ def run_suite(names, settings):
 def check_metric_pullback(settings, rng, trials):
     """Information metric equals the Euclidean metric of the sqrt embedding."""
     devs = []
-    for m, count in _groups(rng.integers(2, 7, (trials, 1))):
-        p = simplex.renormalized(rng.random((count, m)) + 0.05)
-        dp = rng.normal(size=(count, m))
+    for m, at in _groups(rng.integers(2, 7, trials)):
+        p = simplex.renormalized(rng.random((at.size, m)) + 0.05)
+        dp = rng.normal(size=(at.size, m))
         dp = (dp - dp.mean(axis=-1, keepdims=True)) * 1e-3
         # the embedding's derivative, 1 / (2 sqrt(p)), carries dp into the sphere
         dq = dp / (2.0 * simplex.sqrt_embedding(p))
@@ -195,11 +199,11 @@ def check_metric_qspace(settings, rng, trials):
     """sum dQ^2 matches (1/4) sum dP^2/P on outcome probabilities."""
     h = 1e-5
     devs = []
-    for n, count in _groups(rng.integers(2, 6, (trials, 1))):
+    for n, at in _groups(rng.integers(2, 6, trials)):
         # keep all outcome probabilities bounded away from zero
-        q = rng.uniform(0.2, 1.0, (count, 2 * n)) * rng.choice([-1.0, 1.0], (count, 2 * n))
+        q = rng.uniform(0.2, 1.0, (at.size, 2 * n)) * rng.choice([-1.0, 1.0], (at.size, 2 * n))
         q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        d = rng.normal(size=(count, 2 * n))
+        d = rng.normal(size=(at.size, 2 * n))
         d -= np.sum(d * q, axis=-1, keepdims=True) * q
         d *= h / np.linalg.norm(d, axis=-1, keepdims=True)
         ends = q + np.array([1.0, -1.0])[:, None, None] * d  # q + d and q - d, renormalized
@@ -312,7 +316,7 @@ def check_measure_invariant_density(settings, rng, trials):
         grid = np.concatenate([half, half + period / 2]) - b / a + period
         dens = measure.induced_measure_density(ff, grid)
         devs += [np.max(np.abs(dens - 2.0 * abs(a))), measure.density_variation(ff, grid)]
-    return np.max(devs), trials, {}
+    return np.max(devs), grid.size, {}
 
 
 @check("measure-solver", "measure.counterexamples", trials=1000, above=0.10)
@@ -353,66 +357,52 @@ def check_measure_convergence(settings, rng):
 @check("classify", "classify.roundtrip", trials=1000, tol=1e-9)
 def check_classify_roundtrip(settings, rng, trials):
     """Haar unitaries and antiunitaries survive realify -> classify (``trials`` per dimension)."""
-    devs = []
-    total = 0
-    for n in settings.dimensions:
-        for batch in _batches(trials):
-            v = sampling.haar_unitary(n, rng, count=len(batch))
-            # per sample: the unitary, then the antiunitary realification
-            g = transforms.classify(np.stack(
-                [transforms.realify_unitary(v), transforms.realify_antiunitary(v)], axis=1))
-            wrong = np.argwhere(g.kind != transforms.KINDS[1:])
-            if wrong.size:
-                t, anti = wrong[0]
-                return np.inf, total + 2 * int(t) + int(anti) + 1, _kind_failure(
-                    batch[t], n, transforms.KINDS[1 + anti], g.kind[t, anti])
-            total += g.kind.size
-            devs.append(np.max(np.abs(g.v - v[:, None])))
-    return np.max(devs, initial=0.0), total, {"dimensions": list(settings.dimensions)}
+    devs, first = [], {}
+    dims = np.repeat(settings.dimensions, trials)
+    for n, at in _groups(dims):
+        v = sampling.haar_unitary(n, rng, count=at.size)
+        # per sample: the unitary, then the antiunitary realification
+        g = transforms.classify(np.stack(
+            [transforms.realify_unitary(v), transforms.realify_antiunitary(v)], axis=1))
+        first = first or _kind_failure(at, n, transforms.KINDS[1:], g.kind)
+        devs.append(np.max(np.abs(g.v - v[:, None])))
+    residual = np.inf if first else np.max(devs)
+    return residual, 2 * dims.size, {"dimensions": list(settings.dimensions), **first}
 
 
 @check("classify", "classify.rejects_generic", trials=1000, above=1e-2, rng="classify.generic")
 def check_classify_rejects_generic(settings, rng, trials):
     """Generic orthogonal matrices are rejected and fail the witness (``trials`` per dimension)."""
-    total = 0
-    devs = []
-    for n in settings.dimensions:
-        for batch in _batches(trials):
-            m = sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))
-            devs.append(transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)[1].min())
-            kind = transforms.classify(m).kind
-            accepted = np.flatnonzero(kind != transforms.REJECTED)
-            if accepted.size:
-                t = int(accepted[0])
-                return 0.0, total + t + 1, _kind_failure(
-                    batch[t], n, transforms.REJECTED, kind[t])
-            total += len(batch)
-    min_dev = float(np.min(devs, initial=np.inf))
-    return min_dev, total, {"min_witness_deviation": min_dev}
+    devs, first = [], {}
+    dims = np.repeat(settings.dimensions, trials)
+    for n, at in _groups(dims):
+        m = sampling.haar_from_ginibre(rng.normal(size=(at.size, 2 * n, 2 * n)))
+        devs.append(transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)[1].min())
+        first = first or _kind_failure(at, n, transforms.REJECTED, transforms.classify(m).kind)
+    min_dev = float(np.min(devs))
+    return 0.0 if first else min_dev, dims.size, {"min_witness_deviation": min_dev, **first}
 
 
 @check("classify", "classify.witness_agreement", trials=250, below=1, rng="classify.agreement")
 def check_classify_witness_agreement(settings, rng, trials):
     """classify and the gauge-invariance witness agree on the whole corpus; counts disagreements."""
-    total, disagreements, first = 0, 0, {}
-    for n in settings.dimensions:
-        for batch in _batches(trials):
-            # per sample: a unitary's two realifications and a generic matrix
-            v = sampling.haar_unitary(n, rng, count=len(batch))
-            m = np.stack([transforms.realify_unitary(v), transforms.realify_antiunitary(v),
-                          sampling.haar_from_ginibre(rng.normal(size=(len(batch), 2 * n, 2 * n)))],
-                         axis=1)
-            passed, dev = transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)
-            g = transforms.classify(m)
-            wrong = np.argwhere(g.is_gauge_invariant != passed)
-            if wrong.size and not first:
-                t, j = wrong[0]
-                first = {"first_failure": {"sample": int(batch[t]), "n": n,
-                                           "found": str(g.kind[t, j]),
-                                           "witness_deviation": float(dev[t, j])}}
-            total += g.kind.size
-            disagreements += len(wrong)
-    return disagreements, total, {"disagreements": disagreements, **first}
+    disagreements, first = 0, {}
+    dims = np.repeat(settings.dimensions, trials)
+    for n, at in _groups(dims):
+        # per sample: a unitary's two realifications and a generic matrix
+        v = sampling.haar_unitary(n, rng, count=at.size)
+        m = np.stack([transforms.realify_unitary(v), transforms.realify_antiunitary(v),
+                      sampling.haar_from_ginibre(rng.normal(size=(at.size, 2 * n, 2 * n)))],
+                     axis=1)
+        passed, dev = transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)
+        g = transforms.classify(m)
+        wrong = np.argwhere(g.is_gauge_invariant != passed)
+        if wrong.size and not first:
+            t, j = wrong[0]
+            first = {"first_failure": {"sample": int(at[t]), "n": n, "found": str(g.kind[t, j]),
+                                       "witness_deviation": float(dev[t, j])}}
+        disagreements += len(wrong)
+    return disagreements, 3 * dims.size, {"disagreements": disagreements, **first}
 
 
 @check("classify", "classify.composition", trials=200, tol=1e-9)
@@ -420,40 +410,43 @@ def check_classify_composition(settings, rng, trials):
     """classify of a realified product agrees with compose: the composition table."""
     dims = rng.integers(2, 6, trials)
     k1, k2 = rng.integers(0, 2, (2, trials))  # 1 = antiunitary
-    kind, expected = np.empty((2, trials), dtype=transforms.KINDS.dtype)
-    devs = []
-    for n in np.unique(dims):
-        at = np.flatnonzero(dims == n)
+    devs, first = [], {}
+    for n, at in _groups(dims):
         v1, v2 = sampling.haar_unitary(n, rng, count=2 * at.size).reshape(
             at.size, 2, n, n).swapaxes(0, 1)
         g1, g2 = (transforms.GaugeMap(kind=transforms.KINDS[1 + k[at]], v=v)
                   for k, v in ((k1, v1), (k2, v2)))
         g = transforms.classify(transforms.realify(g1) @ transforms.realify(g2))
         composed = transforms.compose(g1, g2)
-        kind[at], expected[at] = g.kind, composed.kind
+        first = first or _kind_failure(at, n, composed.kind, g.kind)
         devs.append(np.max(np.abs(g.v - composed.v)))
-    wrong = np.flatnonzero(kind != expected)
-    if wrong.size:
-        t = wrong[0]
-        return np.inf, trials, _kind_failure(t, dims[t], expected[t], kind[t])
-    return np.max(devs, initial=0.0), trials, {}
-
-
-def _batches(trials, size=BATCH):
-    """Successive ranges of at most ``size`` sample indices, covering ``trials`` samples."""
-    return [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+    return np.inf if first else np.max(devs), trials, first
 
 
 def _groups(dims):
-    """(*row, count) per slice of at most BATCH samples that share a row of (trials, k) ``dims``."""
-    for row in np.unique(dims, axis=0):
-        for batch in _batches(np.count_nonzero((dims == row).all(axis=1))):
-            yield (*row.tolist(), len(batch))
+    """(*row, at) per batch of at most BATCH samples sharing a dimension or row of ``dims``.
+
+    ``dims`` holds one dimension, or one row of dimensions, per sample.  Rows come in
+    ascending order; ``at`` holds sample indices in draw order (the sort is stable).
+    """
+    dims = np.asarray(dims).reshape(len(dims), -1)
+    order = np.lexsort(dims.T[::-1])
+    rows = dims[order]
+    cuts = [0, *np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1, len(rows)]
+    for start, stop in zip(cuts, cuts[1:]):
+        for s in range(start, stop, BATCH):
+            yield (*rows[start].tolist(), order[s:min(s + BATCH, stop)])
 
 
-def _kind_failure(sample, n, expected, found):
-    return {"first_failure": {"sample": int(sample), "n": int(n),
-                              "expected": str(expected), "found": str(found)}}
+def _kind_failure(at, n, expected, found):
+    """``first_failure`` of the first wrong kind in ``found`` (a row per ``at`` sample), or {}."""
+    wrong = np.argwhere(found != expected)
+    if not wrong.size:
+        return {}
+    t = tuple(wrong[0])
+    return {"first_failure": {"sample": int(at[t[0]]), "n": int(n),
+                              "expected": str(np.broadcast_to(expected, found.shape)[t]),
+                              "found": str(found[t])}}
 
 
 # ------------------------------------------------------------------ born
@@ -463,14 +456,13 @@ def _kind_failure(sample, n, expected, found):
 def check_born_exact(settings, rng, trials):
     """Arrangement distribution equals Born probabilities, phases irrelevant."""
     devs = []
-    for n in (2, 3, 5):
-        for count in map(len, _batches(trials)):
-            basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng, count=count))
-            v = sampling.sample_uniform(n, count, rng)
-            theta, theta_out = rng.uniform(0, 2 * np.pi, (2, count, n))
-            arr = measurement.build_simulation(basis, theta=theta, theta_out=theta_out)
-            exact = measurement.arrangement_probs(arr, v)
-            devs.append(np.max(np.abs(exact - measurement.born_probs(v, basis))))
+    for n, at in _groups(np.repeat((2, 3, 5), trials)):
+        basis = measurement.MeasurementBasis(sampling.haar_unitary(n, rng, count=at.size))
+        v = sampling.sample_uniform(n, at.size, rng)
+        theta, theta_out = rng.uniform(0, 2 * np.pi, (2, at.size, n))
+        arr = measurement.build_simulation(basis, theta=theta, theta_out=theta_out)
+        exact = measurement.arrangement_probs(arr, v)
+        devs.append(np.max(np.abs(exact - measurement.born_probs(v, basis))))
     return np.max(devs, initial=0.0), 3 * trials, {"dimensions": [2, 3, 5]}
 
 
@@ -499,14 +491,15 @@ def check_born_reproducible(settings, rng, trials):
         basis, theta=rng.uniform(0, 2 * np.pi, n), theta_out=rng.uniform(0, 2 * np.pi, n))
     v = sampling.sample_uniform(n, 1, rng)[0]
     mismatches, failure = 0, {}
-    for batch in _batches(trials, sampling.BLOCK):
-        u = rng.random((len(batch), 2))  # per trial: the first measurement's draw, the repeat's
+    for start in range(0, trials, sampling.BLOCK):
+        # per trial: the first measurement's draw, the repeat's
+        u = rng.random((min(sampling.BLOCK, trials - start), 2))
         i, out = measurement.simulate_batch(arr, v, u[:, 0])
         j, _ = measurement.simulate_batch(arr, out, u[:, 1])
         mismatched = np.flatnonzero(i != j)
         if mismatched.size and not failure:
             t = int(mismatched[0])
-            failure = {"first_failure": {"sample": batch.start + t, "result": int(i[t]),
+            failure = {"first_failure": {"sample": start + t, "result": int(i[t]),
                                          "repeat": int(j[t])}}
         mismatches += mismatched.size
     return mismatches, trials, {"mismatches": mismatches, **failure}
@@ -519,33 +512,30 @@ def check_born_reproducible(settings, rng, trials):
 def check_compose_dual_route(settings, rng, trials):
     """Kronecker product agrees with the probabilities-multiply/phases-add rule."""
     devs = []
-    for n1 in (2, 3):
-        for n2 in (2, 3):
-            for count in map(len, _batches(-(-trials // 2))):  # half of trials, rounded up
-                s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
-                via_reps = qspace.to_complex(qspace.from_phase_rep(
-                    composite.compose_phase_reps(s1, s2)))
-                direct = composite.tensor(
-                    qspace.to_complex(qspace.from_phase_rep(s1)),
-                    qspace.to_complex(qspace.from_phase_rep(s2)))
-                devs.append(np.max(np.abs(via_reps - direct)))
-    return np.max(devs, initial=0.0), 4 * -(-trials // 2), {}
+    half = -(-trials // 2)  # half of trials, rounded up
+    for n1, n2, at in _groups(np.repeat([(2, 2), (2, 3), (3, 2), (3, 3)], half, axis=0)):
+        s1, s2 = _random_phase_reps(n1, at.size, rng), _random_phase_reps(n2, at.size, rng)
+        via_reps = qspace.to_complex(qspace.from_phase_rep(composite.compose_phase_reps(s1, s2)))
+        direct = composite.tensor(qspace.to_complex(qspace.from_phase_rep(s1)),
+                                  qspace.to_complex(qspace.from_phase_rep(s2)))
+        devs.append(np.max(np.abs(via_reps - direct)))
+    return np.max(devs, initial=0.0), 4 * half, {}
 
 
 @check("compose", "compose.born_factorization", trials=300, tol=1e-12, rng="compose.born")
 def check_compose_born_factorization(settings, rng, trials):
     """Born distribution of a product state in a product basis factorizes."""
     devs = []
-    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
-        u1, u2 = (sampling.haar_unitary(n, rng, count=count) for n in (n1, n2))
-        v1, v2 = sampling.sample_uniform(n1, count, rng), sampling.sample_uniform(n2, count, rng)
+    for n1, n2, at in _groups(rng.integers(2, 4, (trials, 2))):
+        u1, u2 = (sampling.haar_unitary(n, rng, count=at.size) for n in (n1, n2))
+        v1, v2 = (sampling.sample_uniform(n, at.size, rng) for n in (n1, n2))
         # the product basis, np.kron(u1, u2) per sample: row N2 i + j is u1_i (x) u2_j
         basis = measurement.MeasurementBasis(
-            (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(count, n1 * n2, -1))
+            (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(at.size, n1 * n2, -1))
         joint = measurement.born_probs(composite.tensor(v1, v2), basis)
         p1 = measurement.born_probs(v1, measurement.MeasurementBasis(u1))
         p2 = measurement.born_probs(v2, measurement.MeasurementBasis(u2))
-        devs.append(np.max(np.abs(joint - (p1[:, :, None] * p2[:, None, :]).reshape(count, -1))))
+        devs.append(np.max(np.abs(joint - (p1[:, :, None] * p2[:, None, :]).reshape(at.size, -1))))
     return np.max(devs, initial=0.0), trials, {}
 
 
@@ -553,10 +543,10 @@ def check_compose_born_factorization(settings, rng, trials):
 def check_compose_energy_additivity(settings, rng, trials):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
     devs = []
-    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
-        s1, s2 = _random_phase_reps(n1, count, rng), _random_phase_reps(n2, count, rng)
-        e1, e2 = rng.normal(scale=3.0, size=(2, count))
-        dt = rng.uniform(0.0, 2.0, count)
+    for n1, n2, at in _groups(rng.integers(2, 4, (trials, 2))):
+        s1, s2 = _random_phase_reps(n1, at.size, rng), _random_phase_reps(n2, at.size, rng)
+        e1, e2 = rng.normal(scale=3.0, size=(2, at.size))
+        dt = rng.uniform(0.0, 2.0, at.size)
         devs.append(np.max(composite.energy_additivity_check(s1, s2, e1, e2, dt, alpha=1.0)))
     return np.max(devs, initial=0.0), trials, {}
 
@@ -565,11 +555,11 @@ def check_compose_energy_additivity(settings, rng, trials):
 def check_compose_subsystem(settings, rng, trials):
     """<A (x) I> on product states equals the single-system expectation."""
     devs = []
-    for n1, n2, count in _groups(rng.integers(2, 4, (trials, 2))):
+    for n1, n2, at in _groups(rng.integers(2, 4, (trials, 2))):
         obs = measurement.Observable(
-            basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng, count=count)),
-            values=rng.normal(size=(count, n1)))
-        v1, v2 = sampling.sample_uniform(n1, count, rng), sampling.sample_uniform(n2, count, rng)
+            basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng, count=at.size)),
+            values=rng.normal(size=(at.size, n1)))
+        v1, v2 = (sampling.sample_uniform(n, at.size, rng) for n in (n1, n2))
         lifted = composite.subsystem_observable(obs, n2, position="first")
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
         devs.append(np.max(np.abs(a - measurement.expected_value(v1, obs))))
@@ -600,10 +590,10 @@ def check_dynamics_correspondence(settings, rng, trials):
     """Stationary phase evolution matches the classical action shift."""
     alpha = 1.0
     devs = []
-    for n, count in _groups(rng.integers(3, 8, (trials, 1))):
-        p = simplex.renormalized(rng.random((count, n)) + 0.05)
-        state = dynamics.HJGridState(h=0.1, x0=0.0, P=p, S=rng.normal(size=(count, n)), m=1.0)
-        e, dt = rng.normal(scale=2.0, size=count), rng.uniform(0.0, 3.0, count)
+    for n, at in _groups(rng.integers(3, 8, trials)):
+        p = simplex.renormalized(rng.random((at.size, n)) + 0.05)
+        state = dynamics.HJGridState(h=0.1, x0=0.0, P=p, S=rng.normal(size=(at.size, n)), m=1.0)
+        e, dt = rng.normal(scale=2.0, size=at.size), rng.uniform(0.0, 3.0, at.size)
         via_hj = dynamics.phase_rep_from_hj(
             dynamics.hj_stationary_step(state, e, dt), alpha)
         via_phase = dynamics.evolve_stationary(
@@ -617,14 +607,13 @@ def check_dynamics_correspondence(settings, rng, trials):
 def check_dynamics_unitary(settings, rng, trials):
     """Stationary evolution realifies to a map classified as unitary; counts other verdicts."""
     dims, shift = rng.integers(2, 6, trials), rng.normal(size=trials)
-    kind = np.empty(trials, dtype=transforms.KINDS.dtype)
-    for n in np.unique(dims):
-        at = np.flatnonzero(dims == n)
+    wrong, first = 0, {}
+    for n, at in _groups(dims):
         m = transforms.realify_unitary(np.exp(-1j * shift[at])[:, None, None] * np.eye(n))
-        kind[at] = transforms.classify(m).kind
-    wrong = np.flatnonzero(kind != "unitary")
-    first = _kind_failure(wrong[0], dims[wrong[0]], "unitary", kind[wrong[0]]) if wrong.size else {}
-    return wrong.size, trials, first
+        kind = transforms.classify(m).kind
+        first = first or _kind_failure(at, n, "unitary", kind)
+        wrong += np.count_nonzero(kind != "unitary")
+    return wrong, trials, first
 
 
 @check("dynamics", "dynamics.hj_residuals", below=1)
@@ -662,10 +651,10 @@ def check_haar_metric_invariance(settings, rng, trials):
     pairs = HAAR_PAIRS_PER_MAP
     n = 3
     devs = []
-    for kind in ("unitary", "antiunitary"):
-        for batch in _batches(trials):
-            g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(n, rng, count=len(batch)))
-            devs.append(np.max(sampling.metric_invariance_check(g, pairs, rng)))
+    for k, at in _groups(np.repeat((1, 2), trials)):  # kind indices: unitary, antiunitary
+        g = transforms.GaugeMap(kind=str(transforms.KINDS[k]),
+                                v=sampling.haar_unitary(n, rng, count=at.size))
+        devs.append(np.max(sampling.metric_invariance_check(g, pairs, rng)))
     return np.max(devs, initial=0.0), pairs * 2 * trials, {"pairs_per_map": pairs}
 
 

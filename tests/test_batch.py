@@ -434,7 +434,23 @@ MUTANTS = {
     "forward time difference of S": (
         dynamics, "dS_dt = (nxt.S[2:-2] - prev.S[2:-2]) / (2.0 * dt)",
         "dS_dt = (nxt.S[2:-2] - cur.S[2:-2]) / dt", ["dynamics.hj_residuals"]),
+    "coin data drawn from the other coin": (
+        simplex, "counts = rng.multinomial(n, p, size=datasets)",
+        "counts = rng.multinomial(n, p2, size=datasets)", ["coin.monte_carlo"]),
+    "signed density": (
+        measure, "return np.abs(ff.dF(chi)) / np.sqrt(F * (1.0 - F))",
+        "return ff.dF(chi) / np.sqrt(F * (1.0 - F))", ["measure.invariant_density"]),
+    "grouping counts results, not probabilities": (
+        measurement, "np.bincount(group, weights=born_probs(v, basis))", "np.bincount(group)",
+        ["compose.degenerate_grouping"]),
 }
+# checks that fail on unmutated code by design, each a control of its own
+CONTROLS = {"haar.negative_control", "measure.counterexamples"}
+
+
+def test_every_check_has_a_planted_defect():
+    covered = {name for *_, names in MUTANTS.values() for name in names}
+    assert set(CHECKS) - covered == CONTROLS and not covered & CONTROLS
 
 
 def install(monkeypatch, module, old, new):
@@ -520,18 +536,39 @@ def test_wrong_kind_reports_first_failure(monkeypatch):
     reports = run_with(monkeypatch, transforms, *DET_FLIP,
                        ["classify.roundtrip", "classify.composition"])
     roundtrip = reports["classify.roundtrip"]
-    # a wrong kind sets an infinite residual, written as null, which no --tol can pass
-    assert roundtrip["max_residual"] is None and roundtrip["trials"] == 1
+    # a wrong kind sets an infinite residual, written as null, which no --tol can pass;
+    # the check still runs all of its trials: two maps per sample, 60 samples per dimension
+    assert roundtrip["max_residual"] is None and roundtrip["trials"] == 2 * 60 * 4
     assert roundtrip["details"]["first_failure"] == {
         "sample": 0, "n": 2, "expected": "unitary", "found": "antiunitary"}
+    # the walk takes n = 2 first, so the first failure it reaches is an n = 2 sample,
+    # whatever its place in the check's draw of dimensions
     failure = reports["classify.composition"]["details"]["first_failure"]
-    assert failure["sample"] == 0 and failure["n"] in (2, 3, 4, 5)
+    dims = SMALL.rng(CHECKS["classify.composition"]["rng"]).integers(2, 6, 60)
+    assert failure["n"] == 2 and dims[failure["sample"]] == 2
+    assert failure["sample"] == np.flatnonzero(dims == 2)[0] == 2
+    assert reports["classify.composition"]["trials"] == 60
     assert {failure["expected"], failure["found"]} == {"unitary", "antiunitary"}
     assert reports["classify.composition"]["tolerance"] == 1e-9
     assert reports["classify.composition"]["max_residual"] is None
     loose = harness.Settings(trials={"classify": 60}, tolerances={"classify": 1e300})
     for name in ("classify.roundtrip", "classify.composition"):
         assert harness.run_check(CHECKS[name], loose)["status"] == "fail", name
+
+
+@pytest.mark.parametrize("shape", [(1000,), (1000, 2)])
+def test_groups_walk_each_sample_once(shape):
+    dims = np.random.default_rng(1).integers(2, 5, shape)
+    rows, walked = [], []
+    for *row, at in harness._groups(dims):
+        assert 0 < at.size <= harness.BATCH and (dims.reshape(len(dims), -1)[at] == row).all()
+        if rows and rows[-1] == row:  # a row's next batch goes on where the last stopped
+            assert at[0] > walked[-1]
+        assert np.all(np.diff(at) > 0)
+        rows.append(row)
+        walked += at.tolist()
+    assert sorted(walked) == list(range(len(dims)))  # each index once
+    assert rows == sorted(rows) and len(rows) > len(set(map(tuple, rows)))
 
 
 def test_first_failure_only_reports(monkeypatch):

@@ -1,11 +1,13 @@
-"""Property tests of the phase representation: round trip, composition, NaN mask."""
+"""Property tests of the phase representation (round trip, composition, NaN mask), of the
+complex and real forms of a state, and of realify -> classify."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qig import composite, dynamics, qspace
+from qig import composite, dynamics, qspace, sampling, transforms
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,3 +74,55 @@ def test_nan_marks_zero_probability_on_every_path(s1, s2, energy, dt):
     S = np.where(s1.p > 0, s1.phi, 0.0) + energy
     state = dynamics.HJGridState(h=0.1, x0=0.0, P=s1.p, S=S, m=1.0)
     assert_phase_invariant(dynamics.phase_rep_from_hj(state, alpha=1.0))
+
+
+STACKS = st.sampled_from([(), (1,), (3,)])  # one item, or a stack of one or three
+
+
+@st.composite
+def unit_states(draw, max_dim=4):
+    """Unit complex states (..., N): one, or a stack."""
+    shape = draw(STACKS) + (draw(st.integers(1, max_dim)), 2)
+    x = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    v = x[..., 0] + 1j * x[..., 1]
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    assume(np.all(norm > 1e-3))
+    return v / norm
+
+
+@settings(deadline=None, database=None)
+@given(unit_states())
+def test_complex_and_real_forms_are_exact_inverses(v):
+    q = qspace.from_complex(v)
+    assert q.shape == v.shape[:-1] + (2 * v.shape[-1],)
+    assert_array_equal(qspace.to_complex(q), v)
+    assert_array_equal(qspace.from_complex(qspace.to_complex(q)), q)
+
+
+@st.composite
+def gauge_maps(draw, max_dim=4):
+    """A unitary or antiunitary map, or a stack of maps of mixed kinds.
+
+    Each matrix is Haar, or a permutation of phases, whose zero blocks and phases near
+    0 and 2pi test the block decomposition at its edges.
+    """
+    stack, n = draw(STACKS), draw(st.integers(1, max_dim))
+    count = int(np.prod(stack))
+    kinds = draw(st.lists(st.sampled_from(["unitary", "antiunitary"]),
+                          min_size=count, max_size=count))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        v = sampling.haar_unitary(n, np.random.default_rng(seed), count=count)
+    else:
+        theta = draw(arrays(float, (count, n), elements=phases))
+        v = np.exp(1j * theta)[..., None] * np.eye(n)[draw(st.permutations(range(n)))]
+    kind = np.array(kinds).reshape(stack) if stack else kinds[0]
+    return transforms.GaugeMap(kind=kind, v=v.reshape(stack + (n, n)))
+
+
+@settings(deadline=None, database=None)
+@given(gauge_maps())
+def test_classify_recovers_the_realified_map(g):
+    back = transforms.classify(transforms.realify(g))
+    assert_array_equal(back.kind, g.kind)
+    assert_allclose(back.v, g.v, rtol=0, atol=1e-12)
