@@ -8,9 +8,9 @@ standard normals from a caller's generator, ``sample_uniform(n, count,
 rng)``; a batch draws each kind of value as one array call, not sample by
 sample.  ``measure_invariance_check`` tests a gauge map;
 ``pushforward_uniformity`` tests any callable, as negative controls do.
-It draws the whole sample, then pushes, normalizes and bins it in blocks
-of ``BLOCK`` rows, so its working set does not grow with the sample size
-beyond the draw itself.  Its chi-squared p-values and the two-sample
+It draws the whole sample, then pushes and bins it, not renormalized, in
+blocks of ``BLOCK`` rows, so its working set does not grow with the sample
+size beyond the draw itself.  Its chi-squared p-values and the two-sample
 Kolmogorov-Smirnov p-value of ``_ks_pvalue`` use two tails written with
 stdlib ``math``, so the module needs numpy alone: the chi-squared survival
 function by its finite sums for integer degrees of freedom (Abramowitz and
@@ -121,20 +121,25 @@ def _uniformity_pvalues(blocks, bins):
 
 
 def _uniformity_counts(states, bins):
-    """Bin counts of each uniformity statistic of the (count, N) ``states``.
+    """Bin counts of each uniformity statistic of the (count, N) ``states``, of any norm.
 
-    The phases come from one ``arctan2`` over the sample, in turns, so a
-    relative phase is a difference of turns wrapped into [0, 1).
+    Both are scale-free per row, and come from one float view: |v_i|^2 as
+    (re^2 + im^2) over the row sum, and the phases from one ``arctan2``, in
+    turns, so a relative phase is a difference of turns wrapped into [0, 1).
     """
     n = states.shape[1]
     counts = {}
-    probs = np.abs(states) ** 2
+    f = np.ascontiguousarray(states, dtype=complex).view(float)
+    probs = np.square(f[:, 0::2]) + np.square(f[:, 1::2])
+    total = sum(probs.T)  # column by column: sum(axis=1) over so short a row is far slower
+    probs /= total[:, None]
     for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
         u = 1.0 - probs[:, i]
         u **= n - 1
         counts[f"|v_{i}|^2"] = _bin_counts(np.subtract(1.0, u, out=u), bins)
-    turns = np.arctan2(states.imag, states.real)
+    turns = np.arctan2(f[:, 1::2], f[:, 0::2])
     turns /= TWO_PI
+    turns[total == 0.0] = np.nan  # a zero row has no phases: not counted
     for i in range(n):
         for j in range(i + 1, n):
             rel = turns[:, i] - turns[:, j]
@@ -255,20 +260,16 @@ def pushforward_uniformity(transform, n, samples, bins, rng):
     Pushes ``samples`` uniform states of dimension ``n``, drawn from the
     generator ``rng``, through ``transform`` (which maps an array of row
     states to row states; any callable, so negative controls call this
-    directly), renormalizes, and chi-squared-tests the uniformity
-    statistics.  Returns a dict with the per-statistic ``p_values`` and
-    their Bonferroni-adjusted minimum ``adjusted_p`` (1 if there are none).
-    For a uniform pushforward, ``adjusted_p <= SIGNIFICANCE`` has probability
-    at most ``SIGNIFICANCE``.  The draws are those of ``sample_uniform(n,
+    directly), and chi-squared-tests the uniformity statistics, which do not
+    depend on a pushed row's norm, so the rows are not renormalized.  Returns
+    a dict with the per-statistic ``p_values`` and their Bonferroni-adjusted
+    minimum ``adjusted_p`` (1 if there are none).  For a uniform pushforward,
+    ``adjusted_p <= SIGNIFICANCE`` has probability at most ``SIGNIFICANCE``.  The draws are those of ``sample_uniform(n,
     samples, rng)``; the states are made, pushed and binned ``BLOCK`` rows
     at a time.
     """
     x = _normal_parts(n, samples, rng)
-
-    def pushed(start):
-        z = transform(_states(x[:, start:start + BLOCK]))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-    pvals = _uniformity_pvalues((pushed(s) for s in range(0, samples, BLOCK)), bins)
+    pushed = (transform(_states(x[:, s:s + BLOCK])) for s in range(0, samples, BLOCK))
+    pvals = _uniformity_pvalues(pushed, bins)
     adjusted = float(np.min([len(pvals) * p for p in pvals.values()], initial=1.0))
     return {"p_values": pvals, "adjusted_p": adjusted}

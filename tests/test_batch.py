@@ -267,14 +267,28 @@ def test_witness_draws_take_a_count_or_a_batch_shape():
 
 @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
 def test_apply_to_rows_equals_single_calls(kind):
+    # one map on a block of rows, as the 100k-sample checks apply it
     rng = np.random.default_rng(5)
     g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(3, rng))
-    states = sampling.sample_uniform(3, 6, rng)
+    states = sampling.sample_uniform(3, sampling.BLOCK, rng)
     rows = transforms.apply(g, states)
-    assert rows.shape == (6, 3)
-    assert_allclose(rows, [transforms.apply(g, v) for v in states], rtol=0, atol=1e-15)
+    assert rows.shape == (sampling.BLOCK, 3)
+    assert_allclose(rows[:6], [transforms.apply(g, v) for v in states[:6]], rtol=0, atol=1e-15)
     act = states.conj() if kind == "antiunitary" else states
     assert_allclose(rows, [g.v @ v for v in act], rtol=0, atol=1e-15)
+
+
+def test_apply_stack_broadcasts_against_states():
+    # a (64, 3, 3) stack of both kinds on (50, 64, 3) states: row (i, j) takes map j
+    rng = np.random.default_rng(6)
+    kind = rng.choice(["unitary", "antiunitary"], size=64)
+    g = transforms.GaugeMap(kind=kind, v=sampling.haar_unitary(3, rng, count=64))
+    states = sampling.sample_uniform(3, 50 * 64, rng).reshape(50, 64, 3)
+    rows = transforms.apply(g, states)
+    assert rows.shape == (50, 64, 3)
+    act = np.where((kind == "antiunitary")[:, None], states.conj(), states)
+    ref = [[g.v[j] @ act[i, j] for j in range(64)] for i in range(50)]
+    assert_allclose(rows, ref, rtol=0, atol=1e-15)
 
 
 def reference_metric_invariance(g, pairs, seed, displacement=1e-4):
@@ -385,8 +399,8 @@ MUTANTS = {
         transforms, "v2 = _where(anti1, g2.v.conj(), g2.v, 2)",
         "v2 = _where(anti2, g2.v.conj(), g2.v, 2)", ["classify.composition"]),
     "non-unitary apply": (
-        transforms, "np.swapaxes(g.v, -1, -2)", "np.swapaxes(g.v.real, -1, -2)",
-        ["haar.metric_invariance"]),
+        transforms, '"...ij,...j->...i", g.v, v', '"...ij,...j->...i", g.v.real, v',
+        ["haar.metric_invariance", "haar.uniformity"]),
     "S = -alpha chi": (
         dynamics, "state.S / alpha", "-state.S / alpha", ["dynamics.correspondence"]),
     "|amp| as the Born probability": (

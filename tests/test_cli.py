@@ -239,6 +239,15 @@ def test_one_trial_runs_every_check(capsys):
     assert code == 1 and summary["error"] == 0
 
 
+def run_python(code):
+    """The stdout of ``code`` run by a fresh interpreter that imports this ``qig``."""
+    src = str(Path(qig.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 @pytest.mark.parametrize("argv", [None, ["metric", "--trials", "2"],
                                   ["classify", "--trials", "2", "--n", "2"],
                                   ["haar", "--trials", "2"]])
@@ -251,11 +260,7 @@ def test_scipy_is_loaded_on_demand(argv):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    {call}\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
-    src = str(Path(qig.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
+    out = run_python(code)
     assert json.loads(out) == []
 
 
@@ -270,13 +275,24 @@ def test_verify_all_runs_without_scipy():
             "loaded = sorted(m for m, module in sys.modules.items()\n"
             "                if m.split('.')[0] == 'scipy' and module is not None)\n"
             "print(json.dumps([code, out.getvalue().splitlines()[-1], loaded]))")
-    src = str(Path(qig.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
+    out = run_python(code)
     exit_code, summary, loaded = json.loads(out)
     summary = json.loads(summary)
     assert exit_code == 0
     assert summary["checks"] == summary["pass"] == len(CHECKS) == 28
     assert loaded == []
+
+
+def test_verify_all_runs_on_one_core():
+    # no BLAS thread works, or spins, for verify: the process's CPU time over
+    # the run and the half second after it is at most the run's wall time
+    code = ("import os, time\n"
+            "from qig import cli\n"
+            "time.sleep(0.5)\n"
+            "wall, cpu = time.perf_counter(), time.process_time()\n"
+            "cli.main(['all', '--out', os.devnull])\n"
+            "wall = time.perf_counter() - wall\n"
+            "time.sleep(0.5)\n"
+            "print(wall, time.process_time() - cpu)")
+    wall, cpu = map(float, run_python(code).split()[-2:])
+    assert cpu <= 1.1 * wall, (cpu, wall)

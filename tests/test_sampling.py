@@ -241,6 +241,56 @@ def test_pushforward_blocks_equal_the_whole_sample():
         assert rep["p_values"] == sampling._uniformity_pvalues([pushed], 40)
 
 
+def reference_pushed_counts(pushed, bins):
+    """Bin counts of pushed rows as ``pushforward_uniformity`` once took them: each row
+    renormalized, then ``np.abs(states) ** 2`` and the parts' ``arctan2``, verbatim."""
+    states = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
+    n = states.shape[1]
+    counts = {}
+    probs = np.abs(states) ** 2
+    for i in range(n if n > 1 else 0):  # |v_0|^2 = 1 identically when n = 1
+        u = 1.0 - probs[:, i]
+        u **= n - 1
+        counts[f"|v_{i}|^2"] = sampling._bin_counts(np.subtract(1.0, u, out=u), bins)
+    turns = np.arctan2(states.imag, states.real)
+    turns /= sampling.TWO_PI
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel = turns[:, i] - turns[:, j]
+            rel += rel < 0.0
+            counts[f"arg(v_{i}/v_{j})"] = sampling._bin_counts(rel, bins)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unnormalized_counts_equal_the_renormalized_reference(seed):
+    # the counts of pushed rows, taken without renormalizing them, are those of
+    # the renormalized rows, for a gauge map and for the squarer control
+    rng = np.random.default_rng(seed)
+    g = transforms.GaugeMap(kind="antiunitary", v=sampling.haar_unitary(3, rng))
+    for transform in (lambda s: transforms.apply(g, s), np.square):
+        rep = sampling.pushforward_uniformity(transform, 3, 100_000, 50,
+                                              np.random.default_rng(seed))
+        pushed = transform(sampling.sample_uniform(3, 100_000, np.random.default_rng(seed)))
+        counts = sampling._uniformity_counts(pushed, 50)
+        ref = reference_pushed_counts(pushed, 50)
+        assert counts.keys() == ref.keys() == rep["p_values"].keys()
+        for k, c in ref.items():
+            assert np.array_equal(counts[k], c)
+            assert rep["p_values"][k] == sampling._chi2_pvalue(c, 100_000)
+
+
+def test_zero_pushed_row_is_not_counted():
+    pushed = sampling.sample_uniform(3, 1000, np.random.default_rng(8))
+    pushed[[0, 7]] = 0.0
+    with np.errstate(invalid="ignore"):  # 0 / 0 in the row's normalization
+        counts = sampling._uniformity_counts(pushed, 20)
+        ref = reference_pushed_counts(pushed, 20)
+    assert counts.keys() == ref.keys()
+    for k, c in ref.items():
+        assert np.array_equal(counts[k], c) and c.sum() == 998
+
+
 # Peak traced allocation of a 100k-sample check.  pushforward_uniformity keeps its
 # draw, 2 * samples * n floats (4.8 MB at n = 3), for the whole test; each block
 # of BLOCK rows makes arrays of BLOCK * n complex numbers (BLOCK * n * 16 bytes,
