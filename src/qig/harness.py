@@ -396,12 +396,9 @@ def check_classify_witness_agreement(settings, rng, trials):
                      axis=1)
         passed, dev = transforms.gauge_invariance_witness(m, WITNESS_TRIALS, rng=rng)
         g = transforms.classify(m)
-        wrong = np.argwhere(g.is_gauge_invariant != passed)
-        if wrong.size and not first:
-            t, j = wrong[0]
-            first = {"first_failure": {"sample": int(at[t]), "n": n, "found": str(g.kind[t, j]),
-                                       "witness_deviation": float(dev[t, j])}}
-        disagreements += len(wrong)
+        wrong = g.is_gauge_invariant != passed
+        first = first or _first_failure(wrong, at, n=n, found=g.kind, witness_deviation=dev)
+        disagreements += int(np.count_nonzero(wrong))
     return disagreements, 3 * dims.size, {"disagreements": disagreements, **first}
 
 
@@ -440,13 +437,17 @@ def _groups(dims):
 
 def _kind_failure(at, n, expected, found):
     """``first_failure`` of the first wrong kind in ``found`` (a row per ``at`` sample), or {}."""
-    wrong = np.argwhere(found != expected)
-    if not wrong.size:
+    return _first_failure(found != expected, at, n=n, expected=expected, found=found)
+
+
+def _first_failure(wrong, at, **fields):
+    """``first_failure``: ``at[row]`` and each field, broadcast, at ``wrong``'s first true entry."""
+    hits = np.argwhere(wrong)
+    if not hits.size:
         return {}
-    t = tuple(wrong[0])
-    return {"first_failure": {"sample": int(at[t[0]]), "n": int(n),
-                              "expected": str(np.broadcast_to(expected, found.shape)[t]),
-                              "found": str(found[t])}}
+    t = tuple(hits[0])
+    return {"first_failure": {"sample": int(at[t[0]]), **{
+        name: np.broadcast_to(value, wrong.shape)[t].item() for name, value in fields.items()}}}
 
 
 # ------------------------------------------------------------------ born
@@ -490,19 +491,15 @@ def check_born_reproducible(settings, rng, trials):
     arr = measurement.build_simulation(
         basis, theta=rng.uniform(0, 2 * np.pi, n), theta_out=rng.uniform(0, 2 * np.pi, n))
     v = sampling.sample_uniform(n, 1, rng)[0]
-    mismatches, failure = 0, {}
+    mismatches, first = 0, {}
     for start in range(0, trials, sampling.BLOCK):
         # per trial: the first measurement's draw, the repeat's
         u = rng.random((min(sampling.BLOCK, trials - start), 2))
         i, out = measurement.simulate_batch(arr, v, u[:, 0])
         j, _ = measurement.simulate_batch(arr, out, u[:, 1])
-        mismatched = np.flatnonzero(i != j)
-        if mismatched.size and not failure:
-            t = int(mismatched[0])
-            failure = {"first_failure": {"sample": start + t, "result": int(i[t]),
-                                         "repeat": int(j[t])}}
-        mismatches += mismatched.size
-    return mismatches, trials, {"mismatches": mismatches, **failure}
+        first = first or _first_failure(i != j, range(start, start + i.size), result=i, repeat=j)
+        mismatches += int(np.count_nonzero(i != j))
+    return mismatches, trials, {"mismatches": mismatches, **first}
 
 
 # --------------------------------------------------------------- compose

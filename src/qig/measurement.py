@@ -15,24 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qspace import as_pure_state
-
-BASIS_TOL = 1e-10
+from .transforms import _as_unitary
 
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An orthonormal basis (rows of ``vectors``), one state per result, or a stack (..., N, N)."""
+    """An orthonormal basis (rows of ``vectors``), one state per result, or a stack (..., N, N).
+
+    The rows are orthonormal iff ``vectors`` is unitary: gauge maps' test validates them.
+    """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim < 2 or v.shape[-2] != v.shape[-1]:
-            raise ValueError("basis must be a square array of row vectors")
-        gram = v.conj() @ np.swapaxes(v, -1, -2)
-        if not np.abs(gram - np.eye(v.shape[-1])).max(initial=0.0) <= BASIS_TOL:  # fails on NaN
-            raise ValueError("basis rows are not orthonormal")
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", _as_unitary(self.vectors))
 
     @property
     def dim(self):

@@ -42,6 +42,12 @@ def as_pure_state(v):
     return v
 
 
+def _states(x):
+    """Uniform states (x[0] + i x[1]) / |x[0] + i x[1]|, normed over the last axis, from normals."""
+    z = x[0] + 1j * x[1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class PhaseRep:
     """State as result probabilities plus one phase per nonzero result.

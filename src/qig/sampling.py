@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .qspace import TWO_PI
+from .qspace import TWO_PI, _states
 from .transforms import apply
 
 
@@ -47,12 +47,6 @@ def _normal_parts(n, count, rng):
     if count < 1:
         raise ValueError("count must be positive")
     return rng.normal(size=(2, count, n))
-
-
-def _states(x):
-    """Uniform states, rows of (x[0] + i x[1]) / |x[0] + i x[1]|, from normal parts ``x``."""
-    z = x[0] + 1j * x[1]
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def haar_unitary(n, rng, count=None):

@@ -95,6 +95,22 @@ def geodesic_distance(p, p2):
     return d if d.ndim else float(d)
 
 
+def _hypotheses(p, p2):
+    """``p``, ``p2`` and the mask ``p > 0``, validated as one pair of 1-D hypotheses.
+
+    Raises :class:`SupportMismatchError` where ``p2`` excludes an outcome ``p`` can produce.
+    """
+    p = as_prob_vec(p)
+    p2 = as_prob_vec(p2)
+    if p.ndim != 1 or p.shape != p2.shape:
+        raise ValueError("distributions must be 1-D, of the same dimension")
+    live = p > 0
+    if np.any(live & (p2 == 0)):
+        raise SupportMismatchError(
+            "p assigns probability to an outcome p2 excludes: evidence is infinite")
+    return p, p2, live
+
+
 def log_bayes_factor(p, p2, n):
     """Expected log evidence ratio n * sum p_i ln(p_i / p2_i).
 
@@ -103,17 +119,9 @@ def log_bayes_factor(p, p2, n):
     priori equally likely.  Entries with p_i = 0 contribute nothing;
     p_i > 0 with p2_i = 0 means a single sample can rule out B outright.
     """
-    p = as_prob_vec(p)
-    p2 = as_prob_vec(p2)
-    if p.ndim != 1 or p.shape != p2.shape:
-        raise ValueError("distributions must be 1-D, of the same dimension")
+    p, p2, live = _hypotheses(p, p2)
     if n <= 0:
         raise ValueError("sample count must be positive")
-    live = p > 0
-    if np.any(live & (p2 == 0)):
-        raise SupportMismatchError(
-            "p assigns probability to an outcome p2 excludes: evidence is infinite"
-        )
     return n * np.sum(p[live] * np.log(p[live] / p2[live]))
 
 
@@ -124,13 +132,7 @@ def simulate_log_evidence(p, p2, n, datasets, rng):
     and returns the per-dataset values of ln(P_A / P_B), computed from
     the multinomial counts.  Their mean estimates the analytic value.
     """
-    p = as_prob_vec(p)
-    p2 = as_prob_vec(p2)
-    if p.ndim != 1 or p.shape != p2.shape:
-        raise ValueError("distributions must be 1-D, of the same dimension")
-    live = p > 0
-    if np.any(live & (p2 == 0)):
-        raise SupportMismatchError("p2 excludes an outcome p can produce")
+    p, p2, live = _hypotheses(p, p2)
     counts = rng.multinomial(n, p, size=datasets)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(live, np.log(np.where(live, p, 1.0) / np.where(live, p2, 1.0)), 0.0)

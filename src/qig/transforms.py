@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qspace import TWO_PI
+from .qspace import TWO_PI, _states
 
 ORTHO_TOL = 1e-10
 BLOCK_TOL = 1e-10
@@ -29,27 +29,36 @@ KINDS = np.array([REJECTED, "unitary", "antiunitary"])
 
 def as_orthogonal(m):
     """Validate real m, or a stack (..., 2N, 2N) of them: m.T m = I within ORTHO_TOL."""
-    m = _as_block_matrix(m)
-    _check_residual(np.swapaxes(m, -1, -2) @ m - np.eye(m.shape[-1]), "orthogonal")
-    return m
+    return _check_unitary(_as_block_matrix(m), "orthogonal")
 
 
 def _as_block_matrix(m):
     """Real m as a float 2N x 2N matrix, or a stack (..., 2N, 2N) of them."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("matrix must be square")
+    m = _as_square(m, float)
     if m.shape[-1] % 2 != 0:
         raise ValueError("matrix dimension must be even (2N)")
     return m
 
 
-def _check_residual(d, kind):
-    """Raise unless every matrix of the stack ``d`` has Frobenius norm <= ``ORTHO_TOL``."""
+def _as_square(x, dtype):
+    """``x`` as a ``dtype`` square matrix, or a stack (..., N, N) of them."""
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError("matrix must be square")
+    return x
+
+
+def _check_unitary(x, kind):
+    """``x``, unless some matrix of the stack has |x^H x - I| (Frobenius) > ``ORTHO_TOL``.
+
+    One test for real and complex stacks: ``.conj()`` of a real array is the array itself.
+    """
+    d = np.swapaxes(x, -1, -2).conj() @ x - np.eye(x.shape[-1])
     sq = np.add.reduce(np.abs(d) ** 2, axis=(-2, -1))
     if not (sq if sq.ndim == 0 else sq.max(initial=0.0)) <= ORTHO_TOL**2:  # also fails on NaN
         resid = np.sqrt(np.ravel(sq)[np.argmax(sq)])
         raise ValueError(f"matrix is not {kind}: residual {resid:g}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -184,11 +193,7 @@ def realify(g):
 
 def _as_unitary(v):
     """Validate a unitary matrix, or a stack (..., N, N) of them."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
-        raise ValueError("matrix must be square")
-    _check_residual(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1]), "unitary")
-    return v
+    return _check_unitary(_as_square(v, complex), "unitary")
 
 
 def apply(g, v):
@@ -223,9 +228,8 @@ def gauge_invariance_witness(m, trials=20, *, rng):
     """
     m = as_orthogonal(m)
     shape = (*m.shape[:-2], trials)
-    x = rng.normal(size=(2, *shape, m.shape[-1] // 2))
-    z, phi0 = x[0] + 1j * x[1], rng.uniform(0.0, TWO_PI, shape)
-    v = z / np.sqrt(_dot(z.real, z.real) + _dot(z.imag, z.imag))[..., None]
+    v = _states(rng.normal(size=(2, *shape, m.shape[-1] // 2)))
+    phi0 = rng.uniform(0.0, TWO_PI, shape)
     # per matrix, 2 * trials rows: each state, then each shifted state
     w = np.concatenate([v, np.exp(1j * phi0)[..., None] * v], axis=-2)
     # a complex row viewed as floats is its real form Q: one product per matrix
@@ -236,8 +240,3 @@ def gauge_invariance_witness(m, trials=20, *, rng):
     worst = np.abs(p[..., :trials, :] - p[..., trials:, :]).max(axis=(-2, -1), initial=0.0)
     worst = worst if worst.ndim else float(worst)
     return worst < WITNESS_TOL, worst
-
-
-def _dot(x, y):
-    """x . y over the last axis by one BLAS dot per row, which sums as ``np.linalg.norm`` does."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qig import measurement
+from qig import measurement, transforms
 from qig.sampling import haar_unitary
 
 
@@ -15,6 +15,17 @@ def test_basis_orthonormality_enforced():
     with pytest.raises(ValueError):
         measurement.MeasurementBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
     measurement.MeasurementBasis.standard(3)
+
+
+def test_bases_and_gauge_maps_share_one_unitarity_test():
+    # rows are orthonormal iff the matrix is unitary: one residual test decides both
+    u = haar_unitary(4, np.random.default_rng(0))
+    measurement.MeasurementBasis(u)
+    transforms.realify_unitary(u)
+    # |(1 + e)^2 I - I| = 2e sqrt(4) in the Frobenius norm, above ORTHO_TOL
+    for build in (measurement.MeasurementBasis, transforms.realify_unitary):
+        with pytest.raises(ValueError, match=r"matrix is not unitary: residual 1\.6e-10"):
+            build(u * (1 + 4e-11))
 
 
 def test_born_probs_reproducibility():
