@@ -6,7 +6,10 @@ entries summing to 1 along its last axis; a tangent displacement sums to
 point, except the log Bayes factor and its oracle, which take one pair.
 Distinguishing two nearby distributions by repeated sampling yields an
 expected log-Bayes-factor of 2n ds^2 where ds^2 = (1/4) sum dp_i^2 / p_i,
-which is what singles this metric out.
+which is what singles this metric out.  The geodesic distance is the
+great-circle angle arccos(sum sqrt(p_i p2_i)) between the square-root
+embeddings, computed from their chord as 2 arcsin(|sqrt(p) - sqrt(p2)| / 2),
+which keeps its digits where the two distributions nearly coincide.
 """
 
 import numpy as np
@@ -86,12 +89,13 @@ def sqrt_embedding(p):
 
 
 def geodesic_distance(p, p2):
-    """Great-circle distance arccos(sum sqrt(p_i p2_i)) between distributions."""
+    """Great-circle distance 2 arcsin(|sqrt(p) - sqrt(p2)| / 2) between distributions."""
     p = as_prob_vec(p)
     p2 = as_prob_vec(p2)
     if p.shape != p2.shape:
         raise ValueError("distributions must have the same dimension")
-    d = np.arccos(np.clip(np.sum(np.sqrt(p * p2), axis=-1), -1.0, 1.0))
+    chord = np.sqrt(p) - np.sqrt(p2)
+    d = 2.0 * np.arcsin(np.sqrt(np.sum(chord * chord, axis=-1)) / 2.0)
     return d if d.ndim else float(d)
 
 

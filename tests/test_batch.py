@@ -446,7 +446,7 @@ MUTANTS = {
         ["measure.ode_convergence"]),
     # each of the next three is caught only by the quantity folded into its residual
     "geodesic distance 1% long": (
-        simplex, "d = np.arccos(", "d = 1.01 * np.arccos(", ["metric.geodesic"]),
+        simplex, "d = 2.0 * np.arcsin(", "d = 2.02 * np.arcsin(", ["metric.geodesic"]),
     "log Bayes factor of n + 1 tosses": (
         simplex, "return n * np.sum(", "return (n + 1) * np.sum(", ["coin.expansion"]),
     "forward time difference of S": (

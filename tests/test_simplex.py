@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -86,6 +88,37 @@ def test_geodesic_distance_basics():
                     np.pi / 2, rtol=1e-15)
     q = simplex.renormalized([3.0, 1.0, 1.0])
     assert simplex.geodesic_distance(p, q) == simplex.geodesic_distance(q, p)
+
+
+SCALES = [10.0**-k for k in range(2, 9)]
+
+
+def short_pairs(count, seed):
+    """``count`` points ``p`` (m = 2..5 outcomes) with unit tangent displacements ``dp``."""
+    rng = np.random.default_rng(seed)
+    for m in rng.integers(2, 6, count):
+        dp = rng.normal(size=m)
+        yield simplex.renormalized(rng.random(m) + 0.1), (dp - dp.mean()) / np.linalg.norm(dp)
+
+
+def test_short_distances_match_an_extended_precision_reference():
+    # The doubles given are taken as exact; the reference normalizes them at 50 digits.
+    # The chord of the square roots carries their rounding, about eps sqrt(p), so the
+    # geodesic's relative error grows as 1/s; over 300 draws it was at most 2e-15 / s
+    # (8.3e-14 at s = 1e-2, 2.0e-7 at 1e-8), so the bound is ten times that.  The
+    # arccos(sum sqrt(p p2)) form cancels instead: 3e-10 at 1e-2 and 18 at 1e-8 on these
+    # draws.  info_metric_ds2 is a control, at most 2.7e-16 at every scale.
+    mpmath = pytest.importorskip("mpmath")
+    mp = np.vectorize(mpmath.mpf, otypes=[object])
+    with mpmath.workdps(50):
+        for (p, dp), s in itertools.product(short_pairs(100, seed=2), SCALES):
+            p2 = simplex.renormalized(p + s * dp)
+            a, b = (np.vectorize(mpmath.sqrt)(mp(x) / mpmath.fsum(mp(x))) for x in (p, p2))
+            exact = 2 * mpmath.asin(mpmath.sqrt(mpmath.fsum((a - b) ** 2)) / 2)
+            rel = float(abs(simplex.geodesic_distance(p, p2) / exact - 1))
+            assert rel <= 2e-14 / s, (p, dp, s, rel)
+            exact = mpmath.fsum(mp(s * dp) ** 2 / mp(p)) / 4
+            assert float(abs(simplex.info_metric_ds2(p, s * dp) / exact - 1)) <= 1e-15, (p, s)
 
 
 def test_geodesic_triangle_inequality():
