@@ -767,6 +767,14 @@ def test_readme_tables_match_the_registry():
               for name, label in readme_table("| check | `rng` label |")}
     assert labels == {name: r["rng"] for name, r in CHECKS.items() if r["rng"] != name}
     assert len(labels) == 13
+    # the paper map names every check, and only checks and kernels that exist
+    mapped, module = [], None
+    for _, checks, kernels in readme_table("| claim of the abstract | checks | kernels |"):
+        mapped += re.findall(r"`([\w.-]+)`", checks)
+        for name in re.findall(r"`([\w.]+)`", kernels):
+            module, attr = name.split(".") if "." in name else (module, name)
+            assert hasattr(getattr(qig, module), attr), name  # unqualified: the module before
+    assert set(mapped) <= set(CHECKS) and len(set(mapped)) == len(CHECKS) == 28
 
 
 def test_composition_tolerance_is_declared():

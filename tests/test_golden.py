@@ -16,7 +16,6 @@ fixtures, so that the diff shows each changed line:
 import json
 import math
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,4 +89,4 @@ def test_close_allows_last_digits_only():
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
