@@ -9,7 +9,7 @@ One JSON object is printed per check, then a summary object.  Exit
 status is 0 iff every check passed.  Reports are byte-reproducible for
 a given seed and configuration except for the elapsed-time fields:
 ``harness.run_check`` hands each check a generator seeded by the master
-seed and the RNG label in the check's record in ``harness.CHECKS``.
+seed and the check's name.
 Every check line carries the bound applied (``tolerance``) and ``margin``.
 
 Overrides are keyed by suite name: ``--tol SUITE=VALUE`` and the config

@@ -8,6 +8,7 @@ vectors.  Leading axes hold a stack of pairs, composed pair by pair.
 
 import numpy as np
 
+from .dynamics import evolve_stationary
 from .measurement import MeasurementBasis, Observable
 from .qspace import TWO_PI, PhaseRep, as_pure_state
 
@@ -60,8 +61,6 @@ def energy_additivity_check(s1, s2, e1, e2, dt, alpha):
     entries (0 for full-support states, by additivity of phase shifts),
     one per pair of a stack.
     """
-    from .dynamics import evolve_stationary
-
     first = compose_phase_reps(
         evolve_stationary(s1, e1, dt, alpha),
         evolve_stationary(s2, e2, dt, alpha),

@@ -1,18 +1,18 @@
 """Deterministic verification checks behind the ``verify`` command.
 
 Each check is declared once, with :func:`check`, as one record of the
-registry :data:`CHECKS`: its suite, function, default trial count where it
-has one, exactly one bound, and the label of its random stream.  The CLI,
-the config file and the tests all read that registry.  :func:`run_check`
-hands each check its generator, derived from the master seed and the
-record's label, so checks can run in any order (or concurrently) without
-changing results.  A check returns ``(residual, trials, details)`` and
-never its verdict: :func:`run_check` is the one place that compares a
-residual with its bound.  A check that samples per dimension walks its
-samples with :func:`_groups`: dimension by dimension (or row by row of
-dimensions) in ascending order, each in draw order, in batches of at most
-:data:`BATCH`.  It runs every sample, and a ``first_failure`` names the
-first failing sample the walk reaches.  A batch draws each kind of random value as one
+registry :data:`CHECKS`: its name, suite, function, default trial count
+where it has one, and exactly one bound.  The CLI, the config file and the
+tests all read that registry.  :func:`run_check` hands each check its
+generator, derived from the master seed and the check's name, so checks
+can run in any order (or concurrently) without changing results.  A check
+returns ``(residual, trials, details)`` and never its verdict:
+:func:`run_check` is the one place that compares a residual with its
+bound.  A check that samples per dimension walks its samples with
+:func:`_groups`: dimension by dimension (or row by row of dimensions) in
+ascending order, each in draw order, in batches of at most :data:`BATCH`.
+It runs every sample, and a ``first_failure`` names the first failing
+sample the walk reaches.  A batch draws each kind of random value as one
 array call, so a check's stream depends on :data:`BATCH`.  Statistical
 checks keep fixed sample sizes and bounds; their false-alarm rate depends
 on them.
@@ -37,27 +37,30 @@ WITNESS_TRIALS = 8  # witness draws per classified matrix
 BATCH = 64  # samples per kernel call, which bounds the arrays a check holds at once
 
 # check name -> its record, in declaration order: a plain dict of "name", "suite", "fn",
-# "trials" (None where the check takes none), "side" ("tol", "below" or "above"), "bound"
-# and "rng", the label of the check's random stream.
+# "trials" (None where the check takes none), "side" ("tol", "below" or "above") and
+# "bound".  The name also names the check's random stream.
 CHECKS = {}
 
 
-def check(suite, name, trials=None, rng=None, **bound):
+def check(suite, name, trials=None, **bound):
     """Register a check of ``suite`` with its default trial count and one bound.
 
     The bound is ``tol``, an upper bound that ``--tol SUITE=`` overrides, or a fixed
     ``below`` (upper) or ``above`` (lower) bound, because a statistical check's false-alarm
-    rate depends on its bound; no bound, two or another keyword raise TypeError.  ``rng``
-    labels the check's random stream, ``name`` by default.  :func:`run_check` calls the
-    function as ``fn(settings, rng)``, adding the keyword ``trials`` where one is declared.
+    rate depends on its bound; no bound, two or another keyword raise TypeError, and so
+    does a ``name`` already registered, since the name seeds the check's random stream.
+    :func:`run_check` calls the function as ``fn(settings, settings.rng(name))``, adding
+    the keyword ``trials`` where one is declared.
     """
     if len(bound) != 1 or not bound.keys() <= {"tol", "below", "above"}:
         raise TypeError(f"{name} must declare one of tol, below or above, not {sorted(bound)}")
+    if name in CHECKS:
+        raise TypeError(f"{name} is already registered")
     (side, value), = bound.items()
 
     def register(fn):
         CHECKS[name] = {"name": name, "suite": suite, "fn": fn, "trials": trials,
-                        "side": side, "bound": value, "rng": rng or name}
+                        "side": side, "bound": value}
         return fn
     return register
 
@@ -106,9 +109,9 @@ class Settings:
         if not self.dimensions or not all(_above(n, 1) for n in self.dimensions):
             raise ValueError(f"need integer dimensions, each >= 2; got {self.dimensions}")
 
-    def rng(self, label):
-        """Generator of the stream ``label``: seeded by the master seed and a CRC of the label."""
-        return np.random.default_rng([int(self.seed), zlib.crc32(label.encode())])
+    def rng(self, name):
+        """Generator of check ``name``'s stream: seeded by the master seed and the name's CRC-32."""
+        return np.random.default_rng([int(self.seed), zlib.crc32(name.encode())])
 
 
 def reject_unknown(label, given, valid):
@@ -126,7 +129,7 @@ def _above(value, low, kind=numbers.Integral):
 def run_check(record, settings):
     """Execute the check of one :data:`CHECKS` record; return its report dict.
 
-    The check gets ``settings.rng(record["rng"])`` as its generator.  A
+    The check gets ``settings.rng(record["name"])`` as its generator.  A
     declared trial count or ``tol`` resolves to the suite's override or
     else the check's default.  The check passes iff its residual is strictly
     inside the bound (``residual < bound`` for ``tol`` or ``below``,
@@ -144,7 +147,7 @@ def run_check(record, settings):
             knobs["trials"] = settings.trials.get(suite, record["trials"])
         if record["side"] == "tol":
             bound = float(settings.tolerances.get(suite, bound))
-        residual, trials, details = record["fn"](settings, settings.rng(record["rng"]), **knobs)
+        residual, trials, details = record["fn"](settings, settings.rng(record["name"]), **knobs)
         residual = float(residual)
         num, den = (bound, residual) if record["side"] == "above" else (residual, bound)
         status = "pass" if num < den else "fail"
@@ -194,7 +197,7 @@ def check_metric_pullback(settings, rng, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8, rng="metric.qspace")
+@check("metric", "metric.qspace_euclidean", trials=500, tol=1e-8)
 def check_metric_qspace(settings, rng, trials):
     """sum dQ^2 matches (1/4) sum dP^2/P on outcome probabilities."""
     h = 1e-5
@@ -370,7 +373,7 @@ def check_classify_roundtrip(settings, rng, trials):
     return residual, 2 * dims.size, {"dimensions": list(settings.dimensions), **first}
 
 
-@check("classify", "classify.rejects_generic", trials=1000, above=1e-2, rng="classify.generic")
+@check("classify", "classify.rejects_generic", trials=1000, above=1e-2)
 def check_classify_rejects_generic(settings, rng, trials):
     """Generic orthogonal matrices are rejected and fail the witness (``trials`` per dimension)."""
     devs, first = [], {}
@@ -383,7 +386,7 @@ def check_classify_rejects_generic(settings, rng, trials):
     return 0.0 if first else min_dev, dims.size, {"min_witness_deviation": min_dev, **first}
 
 
-@check("classify", "classify.witness_agreement", trials=250, below=1, rng="classify.agreement")
+@check("classify", "classify.witness_agreement", trials=250, below=1)
 def check_classify_witness_agreement(settings, rng, trials):
     """classify and the gauge-invariance witness agree on the whole corpus; counts disagreements."""
     disagreements, first = 0, {}
@@ -467,7 +470,7 @@ def check_born_exact(settings, rng, trials):
     return np.max(devs, initial=0.0), 3 * trials, {"dimensions": [2, 3, 5]}
 
 
-@check("simulate", "simulate.frequencies", below=3.0, rng="born.sampled")
+@check("simulate", "simulate.frequencies", below=3.0)
 def check_born_sampled(settings, rng):
     """Sampled result frequencies match Born probabilities within 3 sigma."""
     trials = 100_000  # fixed sample size
@@ -483,7 +486,7 @@ def check_born_sampled(settings, rng):
     return np.max(z), trials, {"born": p.tolist(), "counts": counts.tolist()}
 
 
-@check("simulate", "simulate.reproducibility", trials=100_000, below=1, rng="born.reproducible")
+@check("simulate", "simulate.reproducibility", trials=100_000, below=1)
 def check_born_reproducible(settings, rng, trials):
     """Immediately repeating a measurement reproduces its result, always."""
     n = 3
@@ -505,7 +508,7 @@ def check_born_reproducible(settings, rng, trials):
 # --------------------------------------------------------------- compose
 
 
-@check("compose", "compose.dual_route", trials=1000, tol=1e-12, rng="compose.dual")
+@check("compose", "compose.dual_route", trials=1000, tol=1e-12)
 def check_compose_dual_route(settings, rng, trials):
     """Kronecker product agrees with the probabilities-multiply/phases-add rule."""
     devs = []
@@ -519,7 +522,7 @@ def check_compose_dual_route(settings, rng, trials):
     return np.max(devs, initial=0.0), 4 * half, {}
 
 
-@check("compose", "compose.born_factorization", trials=300, tol=1e-12, rng="compose.born")
+@check("compose", "compose.born_factorization", trials=300, tol=1e-12)
 def check_compose_born_factorization(settings, rng, trials):
     """Born distribution of a product state in a product basis factorizes."""
     devs = []
@@ -536,7 +539,7 @@ def check_compose_born_factorization(settings, rng, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("compose", "compose.energy_additivity", trials=1000, tol=1e-12, rng="compose.energy")
+@check("compose", "compose.energy_additivity", trials=1000, tol=1e-12)
 def check_compose_energy_additivity(settings, rng, trials):
     """Evolve-then-compose equals compose-then-evolve with E1 + E2."""
     devs = []
@@ -548,7 +551,7 @@ def check_compose_energy_additivity(settings, rng, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("compose", "compose.subsystem_observable", trials=200, tol=1e-12, rng="compose.subsystem")
+@check("compose", "compose.subsystem_observable", trials=200, tol=1e-12)
 def check_compose_subsystem(settings, rng, trials):
     """<A (x) I> on product states equals the single-system expectation."""
     devs = []
@@ -600,7 +603,7 @@ def check_dynamics_correspondence(settings, rng, trials):
     return np.max(devs, initial=0.0), trials, {}
 
 
-@check("dynamics", "dynamics.unitary_evolution", trials=50, below=1, rng="dynamics.unitary")
+@check("dynamics", "dynamics.unitary_evolution", trials=50, below=1)
 def check_dynamics_unitary(settings, rng, trials):
     """Stationary evolution realifies to a map classified as unitary; counts other verdicts."""
     dims, shift = rng.integers(2, 6, trials), rng.normal(size=trials)
@@ -642,7 +645,7 @@ def check_dynamics_residuals(settings, rng):
 # ------------------------------------------------------------------ haar
 
 
-@check("haar", "haar.metric_invariance", trials=100, tol=1e-10, rng="haar.metric")
+@check("haar", "haar.metric_invariance", trials=100, tol=1e-10)
 def check_haar_metric_invariance(settings, rng, trials):
     """|dv|^2 between nearby states is preserved by ``trials`` gauge maps per kind."""
     pairs = HAAR_PAIRS_PER_MAP
@@ -672,7 +675,7 @@ def check_haar_uniformity(settings, rng):
     return np.min(adjusted), samples, {"min_p_values": results}
 
 
-@check("haar", "haar.negative_control", below=sampling.SIGNIFICANCE, rng="haar.negative")
+@check("haar", "haar.negative_control", below=sampling.SIGNIFICANCE)
 def check_haar_negative_control(settings, rng):
     """A non-norm-preserving map visibly distorts the uniform measure (adjusted min p)."""
     samples = 100_000  # fixed sample size
@@ -685,16 +688,15 @@ def check_haar_negative_control(settings, rng):
     return rep["adjusted_p"], samples, {"min_p_value": float(min(rep["p_values"].values()))}
 
 
-@check("haar", "haar.rotation_invariance", above=sampling.SIGNIFICANCE, rng="haar.rotation")
+@check("haar", "haar.rotation_invariance", above=sampling.SIGNIFICANCE)
 def check_haar_rotation_invariance(settings, rng):
     """Disjoint halves of a uniform sample, each projected on a fixed direction, agree (KS p)."""
     samples = 20_000  # fixed sample size
     n = 3
     states = sampling.sample_uniform(n, samples, rng)
     qs = np.hstack([states.real, states.imag])
-    u1 = rng.normal(size=2 * n)
+    u1, u2 = rng.normal(size=(2, 2 * n))
     u1 /= np.linalg.norm(u1)
-    u2 = rng.normal(size=2 * n)
     u2 /= np.linalg.norm(u2)
     half = samples // 2
     p = sampling._ks_pvalue(qs[:half] @ u1, qs[half:] @ u2)

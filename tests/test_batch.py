@@ -562,7 +562,7 @@ def test_wrong_kind_reports_first_failure(monkeypatch):
     # the walk takes n = 2 first, so the first failure it reaches is an n = 2 sample,
     # whatever its place in the check's draw of dimensions
     failure = reports["classify.composition"]["details"]["first_failure"]
-    dims = SMALL.rng(CHECKS["classify.composition"]["rng"]).integers(2, 6, 60)
+    dims = SMALL.rng("classify.composition").integers(2, 6, 60)
     assert failure["n"] == 2 and dims[failure["sample"]] == 2
     assert failure["sample"] == np.flatnonzero(dims == 2)[0] == 2
     assert reports["classify.composition"]["trials"] == 60
@@ -591,8 +591,9 @@ def test_groups_walk_each_sample_once(shape):
 
 def test_first_failure_only_reports(monkeypatch):
     # the verdict compares the residual with the bound and reads nothing from details
-    monkeypatch.setattr(harness, "CHECKS", {})
     for residual, status in ((0.5, "pass"), (1.0, "fail")):
+        monkeypatch.setattr(harness, "CHECKS", {})
+
         @harness.check("stub", "stub.check", below=1)
         def stub(settings, rng, residual=residual):
             return residual, 1, {"first_failure": {"sample": 0}}
@@ -740,10 +741,12 @@ def test_check_declares_exactly_one_bound(bounds, monkeypatch):
     assert harness.CHECKS == {}
 
 
-def test_rng_labels_are_unique():
-    # two checks drawing one stream would correlate their false alarms
-    labels = [record["rng"] for record in CHECKS.values()]
-    assert len(labels) == len(set(labels)) == 28
+def test_check_name_registers_once(monkeypatch):
+    # the name seeds the check's stream, so a second check of one name would share it
+    monkeypatch.setattr(harness, "CHECKS", dict(CHECKS))
+    with pytest.raises(TypeError, match="metric.pullback is already registered"):
+        harness.check("metric", "metric.pullback", trials=10, tol=1e-6)
+    assert harness.CHECKS == CHECKS and len(CHECKS) == 28
 
 
 def readme_table(header):
@@ -763,10 +766,6 @@ def test_readme_tables_match_the_registry():
                 assert float(value) == CHECKS[name]["bound"], (name, bound)
     declared = {name: r["side"] for name, r in CHECKS.items() if r["side"] != "tol"}
     assert documented == declared and len(declared) == 15
-    labels = {name.strip("`"): label.strip("`")
-              for name, label in readme_table("| check | `rng` label |")}
-    assert labels == {name: r["rng"] for name, r in CHECKS.items() if r["rng"] != name}
-    assert len(labels) == 13
     # the paper map names every check, and only checks and kernels that exist
     mapped, module = [], None
     for _, checks, kernels in readme_table("| claim of the abstract | checks | kernels |"):

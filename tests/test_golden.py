@@ -34,12 +34,15 @@ def versions():
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def without_elapsed(report):
+    return {k: v for k, v in report.items() if k != "elapsed"}
+
+
 def reports(argv):
     """The report lines of ``verify ARGV``, run in-process, without ``elapsed``."""
     args = cli.build_parser().parse_args(argv)
     names = harness.suites() if args.suite == "all" else [args.suite]
-    return [{k: v for k, v in report.items() if k != "elapsed"}
-            for report in harness.run_suite(names, cli.load_settings(args))]
+    return [without_elapsed(r) for r in harness.run_suite(names, cli.load_settings(args))]
 
 
 def regenerate():
@@ -61,12 +64,11 @@ def close(got, want):
     return type(got) is type(want) and got == want
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_report_matches_its_fixture(case, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def assert_matches_fixture(got, case):
+    """Assert that report lines ``got`` match the fixture of ``case``, line by line."""
     header, *want = map(json.loads, (GOLDEN / f"{case}.jsonl").read_text().splitlines())
     assert header["argv"] == CASES[case]
-    got = json.loads(json.dumps(reports(CASES[case]), allow_nan=False))
+    got = json.loads(json.dumps(got, allow_nan=False))
     assert [r["check"] for r in got] == [r["check"] for r in want]
     if {k: header[k] for k in ("python", "numpy")} == versions():
         for g, w in zip(got, want):
@@ -74,6 +76,23 @@ def test_report_matches_its_fixture(case, monkeypatch):
     else:
         for g, w in zip(got, want):
             assert close(g, w), (g, w)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_matches_its_fixture(case, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    assert_matches_fixture(reports(CASES[case]), case)
+
+
+def test_each_line_reruns_alone_in_any_order():
+    # a line's check and seed rerun it: each check of ``verify all --seed 12345``, run by
+    # itself in reverse registry order, reports its line of the same fixture
+    settings = harness.Settings(seed=12345)
+    alone = {name: without_elapsed(harness.run_check(harness.CHECKS[name], settings))
+             for name in reversed(harness.CHECKS)}
+    order = [name for suite in harness.suites() for name, record in harness.CHECKS.items()
+             if record["suite"] == suite]
+    assert_matches_fixture([alone[name] for name in order], "all_seed12345")
 
 
 def test_close_allows_last_digits_only():
