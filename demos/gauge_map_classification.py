@@ -10,14 +10,14 @@ orthogonal matrices fail both.
 import numpy as np
 
 from qig import transforms
-from qig.sampling import haar_orthogonal, haar_unitary
+from qig.sampling import haar_from_ginibre, haar_unitary
 
 rng = np.random.default_rng(7)
 v = haar_unitary(3, rng)
 
 m_unitary = transforms.realify_unitary(v)
 m_anti = transforms.realify_antiunitary(v)
-m_generic = haar_orthogonal(6, rng)
+m_generic = haar_from_ginibre(rng.normal(size=(6, 6)))
 
 for label, m in (("realified unitary", m_unitary),
                  ("realified antiunitary", m_anti),

@@ -34,21 +34,18 @@ def tensor(v1, v2):
     return v.reshape(v.shape[:-2] + (-1,))
 
 
-def subsystem_observable(obs, n_other, position="first"):
-    """Lift an observable to the composite: A (x) I or I (x) A.
+def subsystem_observable(obs, n_other):
+    """Lift an observable of the first factor to the composite: A (x) I.
 
     The lifted observable keeps the original values, each with
     multiplicity ``n_other`` -- a degenerate measurement on the
     composite whose expectation on product states ignores the other
-    factor.
+    factor, of dimension ``n_other`` >= 1.
     """
+    if n_other < 1:
+        raise ValueError("the other factor's dimension must be at least 1")
     eye = np.eye(n_other, dtype=complex)
-    if position == "first":
-        rows, values = np.kron(obs.basis.vectors, eye), np.repeat(obs.values, n_other, axis=-1)
-    elif position == "second":
-        rows, values = np.kron(eye, obs.basis.vectors), np.tile(obs.values, n_other)
-    else:
-        raise ValueError("position must be 'first' or 'second'")
+    rows, values = np.kron(obs.basis.vectors, eye), np.repeat(obs.values, n_other, axis=-1)
     return Observable(basis=MeasurementBasis(rows), values=values)
 
 

@@ -60,10 +60,6 @@ class HJGridState:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "V", V)
 
-    @property
-    def x(self):
-        return self.x0 + self.h * np.arange(self.P.shape[-1])
-
 
 def hj_stationary_step(state, energy, dt):
     """Evolve a stationary-ensemble state: P unchanged, S -> S - E dt.

@@ -560,7 +560,7 @@ def check_compose_subsystem(settings, rng, trials):
             basis=measurement.MeasurementBasis(sampling.haar_unitary(n1, rng, count=at.size)),
             values=rng.normal(size=(at.size, n1)))
         v1, v2 = (sampling.sample_uniform(n, at.size, rng) for n in (n1, n2))
-        lifted = composite.subsystem_observable(obs, n2, position="first")
+        lifted = composite.subsystem_observable(obs, n2)
         a = measurement.expected_value(composite.tensor(v1, v2), lifted)
         devs.append(np.max(np.abs(a - measurement.expected_value(v1, obs))))
     return np.max(devs, initial=0.0), trials, {}

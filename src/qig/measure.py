@@ -77,18 +77,17 @@ def density_variation(ff, grid):
 def solve_F_ode(a, F0, chi0, grid, step=1e-4, rising=None):
     """Integrate dF/dchi = s * 2a sqrt(F(1-F)) along ``grid`` from (chi0, F0).
 
-    ``grid`` must be ascending with grid[0] >= chi0 (a descending grid is
-    integrated backwards by reflection), and ``a``, ``chi0``, ``step``
-    and the grid points must be finite.  The sign branch ``s`` starts at
-    +1 (or as given by ``rising``) and is switched whenever F reaches 0
-    or 1 within ``BOUNDARY_TOL``.  The square-root right-hand side is not
-    Lipschitz at the turning points, so close to a boundary the
-    integrator crosses analytically: with u the distance to the
-    boundary, the ODE linearizes to d(sqrt u)/dchi = -/+ a, which places
-    the turning point at chi* = chi + sqrt(u)/|a| and restarts the
-    opposite branch with u = a^2 (chi - chi*)^2.  The stepping loop holds
-    only Python floats: NumPy scalars give the same IEEE results at
-    several times the cost per step.
+    ``grid`` must be strictly ascending with grid[0] >= chi0, and ``a``,
+    ``chi0``, ``step`` and the grid points must be finite.  The sign branch
+    ``s`` starts at +1 (or as given by ``rising``) and is switched whenever
+    F reaches 0 or 1 within ``BOUNDARY_TOL``.  The square-root right-hand
+    side is not Lipschitz at the turning points, so close to a boundary the
+    integrator crosses analytically: with u the distance to the boundary,
+    the ODE linearizes to d(sqrt u)/dchi = -/+ a, which places the turning
+    point at chi* = chi + sqrt(u)/|a| and restarts the opposite branch with
+    u = a^2 (chi - chi*)^2.  The stepping loop holds only Python floats:
+    NumPy scalars give the same IEEE results at several times the cost per
+    step.
 
     Returns the array of F values on the grid points.
     """
@@ -97,15 +96,8 @@ def solve_F_ode(a, F0, chi0, grid, step=1e-4, rising=None):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
-    d = np.diff(grid)
-    if grid.size > 1 and (d < 0).all():
-        # integrate backwards by reflecting: chi -> 2 chi0 - chi flips
-        # the sign branch but leaves the trajectory otherwise unchanged
-        grid = 2.0 * chi0 - grid
-        rising = None if rising is None else not rising
-        d = np.diff(grid)  # rounding can merge neighbours of the reflection
-    if (d <= 0).any():
-        raise ValueError("grid must be strictly monotone")
+    if (np.diff(grid) <= 0).any():
+        raise ValueError("grid must be strictly ascending")
     if grid[0] < chi0 - 1e-15:
         raise ValueError("grid must start at or after chi0")
     if not 0.0 <= F0 <= 1.0:

@@ -62,12 +62,6 @@ class Observable:
         v = self.basis.vectors
         return (np.swapaxes(v, -1, -2) * self.values[..., None, :]) @ v.conj()
 
-    @property
-    def is_degenerate(self):
-        """Whether two results share a value, per observable of a stack."""
-        tied = (np.diff(np.sort(self.values, axis=-1), axis=-1) == 0).any(axis=-1)
-        return tied if tied.ndim else bool(tied)
-
 
 @dataclass(frozen=True)
 class SimulationArrangement:
@@ -107,6 +101,8 @@ def build_simulation(basis, theta=None, theta_out=None):
 def arrangement_probs(arr, v):
     """Exact result distribution |<e_i, U v>|^2 for a state v, or a stack (..., N) of them."""
     v = as_pure_state(v)
+    if v.shape[-1] != arr.U.shape[-1]:
+        raise ValueError("state and arrangement dimensions differ")
     p = np.abs((arr.U @ v[..., None])[..., 0]) ** 2
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -147,6 +143,7 @@ def expected_value(v, obs):
     Both computation routes are evaluated; a discrepancy beyond 1e-10
     indicates an internal inconsistency and raises.
     """
+    v = np.asarray(v, dtype=complex)
     p = born_probs(v, obs.basis)
     direct = np.sum(obs.values * p, axis=-1)
     quad = np.real((v.conj()[..., None, :] @ obs.matrix() @ v[..., None])[..., 0, 0])
@@ -161,8 +158,8 @@ def degenerate_probs(v, basis, values):
     ``values`` lists one finite real value per result, duplicates allowed;
     results sharing a value are physically indistinguishable and their
     probabilities are summed.  Values are grouped by exact float equality,
-    as :attr:`Observable.is_degenerate` counts them, so 0.1 + 0.2 and 0.3
-    are two groups.  Returns {value: probability}, in ascending value order.
+    so 0.1 + 0.2 and 0.3 are two groups.  Returns {value: probability}, in
+    ascending value order.
     """
     if basis.vectors.ndim != 2 or np.ndim(v) != 1:
         raise ValueError("degenerate_probs takes one state and one basis")

@@ -9,8 +9,7 @@ phase representation Q = (sqrt(p_1) cos(phi_1), sqrt(p_1) sin(phi_1),
 e^{i phi_i} packs each outcome pair into one complex amplitude.  Phases
 are a float array with NaN exactly at the zero-probability results,
 so composition and evolution act on whole phase vectors.  Leading axes
-hold a stack of states, and every function here except
-:func:`polarities` acts on each.
+hold a stack of states, and every function here acts on each.
 """
 
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import _check_total, as_prob_vec
-
-POLARITY_TOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,20 +108,6 @@ def outcome_probs(q):
     q = as_qvector(q)
     P = q * q
     return P / P.sum(axis=-1, keepdims=True)
-
-
-def result_probs(q):
-    """Coarse-grained result probabilities p_i = P_{2i-1} + P_{2i}."""
-    P = outcome_probs(q)
-    return P[..., 0::2] + P[..., 1::2]
-
-
-def polarities(q):
-    """Signs of the Q_q, as a tuple of +1/-1 with None where |Q_q| <= ``POLARITY_TOL``."""
-    q = as_qvector(q)
-    if q.ndim != 1:
-        raise ValueError("polarities takes one state vector")
-    return tuple(None if abs(x) <= POLARITY_TOL else int(np.sign(x)) for x in q)
 
 
 def gauge_shift(v, phi0):

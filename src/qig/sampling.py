@@ -55,11 +55,6 @@ def haar_unitary(n, rng, count=None):
     return haar_from_ginibre((x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0))
 
 
-def haar_orthogonal(n, rng):
-    """Haar-distributed n x n real orthogonal matrix (QR of a Ginibre matrix)."""
-    return haar_from_ginibre(rng.normal(size=(n, n)))
-
-
 def haar_from_ginibre(z):
     """Haar matrices from a stack (..., n, n) of Ginibre matrices.
 

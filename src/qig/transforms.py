@@ -202,8 +202,11 @@ def apply(g, v):
     One map acts on every state; a stack of maps acts on states broadcast
     against its stack axes.
     """
+    anti = _antiunitary(g, "apply")
     v = np.asarray(v, dtype=complex)
-    v = _where(_antiunitary(g, "apply"), v.conj(), v, 1)
+    if v.shape[-1:] != g.v.shape[-1:]:
+        raise ValueError("state and map dimensions differ")
+    v = _where(anti, v.conj(), v, 1)
     # einsum, not @: BLAS threads a GEMM of many rows, and its idle threads spin after it
     return np.einsum("...ij,...j->...i", g.v, v)
 

@@ -89,9 +89,13 @@ def test_ode_from_boundary():
 
 
 def test_ode_backward_branch():
-    # F0 = 1/2 at chi0 = pi/4 on the b=0 branch: F(0) = 1
-    grid = np.linspace(np.pi / 4, 0.0, 30)
-    sol = measure.solve_F_ode(1.0, 0.5, np.pi / 4, grid, step=1e-4)
+    # F0 = 1/2 at chi0 = pi/4 on the b=0 branch: F(0) = 1.  A descending grid
+    # is refused; backwards is forwards in chi' = 2 chi0 - chi on the other branch
+    chi0 = np.pi / 4
+    grid = np.linspace(chi0, 0.0, 30)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        measure.solve_F_ode(1.0, 0.5, chi0, grid, step=1e-4)
+    sol = measure.solve_F_ode(1.0, 0.5, chi0, 2 * chi0 - grid, step=1e-4, rising=True)
     assert_allclose(sol[-1], 1.0, atol=1e-6)
 
 
@@ -127,9 +131,9 @@ def test_ode_rejects_bad_inputs():
         measure.solve_F_ode(1.0, 1.5, 0.0, [0.1])
     with pytest.raises(ValueError):
         measure.solve_F_ode(1.0, 0.5, 0.5, [0.1])  # grid before chi0
-    with pytest.raises(ValueError, match="strictly monotone"):
-        # descending, but its reflection 2 chi0 - grid rounds to [1, 1]
-        measure.solve_F_ode(1.0, 0.5, 1.0, [1.0, np.nextafter(1.0, 0.0)])
+    for grid in ([1.0, np.nextafter(1.0, 0.0)], [1.0, 1.0], [1.0, 1.5, 1.2]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            measure.solve_F_ode(1.0, 0.5, 1.0, grid)
     # unchecked, non-finite input would give NaN, F0 or F = inf, or never return
     for args, kwargs, message in [
             ((np.nan, 0.5, 0.0, [0.1]), {}, "a must be finite"),
@@ -138,7 +142,7 @@ def test_ode_rejects_bad_inputs():
             ((1.0, 0.5, 0.0, [0.1]), {"step": np.nan}, "step must be finite"),
             ((1.0, 0.5, 0.0, [0.1]), {"step": np.inf}, "step must be finite"),
             ((1.0, 0.5, np.nan, [0.1]), {}, "chi0 must be finite"),
-            ((1.0, 0.5, np.nan, [0.1, 0.0]), {}, "chi0 must be finite"),  # reflected
+            ((1.0, 0.5, np.nan, [0.0, 0.1]), {}, "chi0 must be finite"),
             ((1.0, 0.5, -np.inf, [0.1]), {}, "chi0 must be finite"),
             ((1.0, 0.5, 0.0, [np.nan]), {}, "grid must be finite"),
             ((1.0, 0.5, 0.0, [0.1, np.nan, 0.3]), {}, "grid must be finite")]:
@@ -250,7 +254,7 @@ def reference_solve_F_ode(a, F0, chi0, grid, step=1e-4, rising=None):
 
 @st.composite
 def ode_problems(draw):
-    """Arguments of ``solve_F_ode``: boundary and interior starts, both grid directions."""
+    """Arguments of ``solve_F_ode``: boundary and interior starts, ascending grids."""
     a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.25, 2.5))
     if draw(st.booleans()):
         a = np.float64(a)  # a NumPy scalar must not leak into the loop
@@ -266,7 +270,7 @@ def ode_problems(draw):
     # at most 0.5 / step <= 500 steps: the reference costs about 3 us a step
     ticks = draw(st.lists(st.integers(0, 100), min_size=1, max_size=6, unique=True))
     offsets = np.sort(ticks) * (0.5 / 100)
-    grid = chi0 + offsets if draw(st.booleans()) else chi0 - offsets
+    grid = chi0 + offsets
     rising = draw(st.sampled_from([None, True, False]))
     return (a, F0, chi0, grid), {"step": step, "rising": rising}
 

@@ -92,6 +92,20 @@ def test_simulate_measurement_certain_result():
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+def test_state_of_another_dimension_is_rejected():
+    rng = np.random.default_rng(5)
+    arr = measurement.build_simulation(measurement.MeasurementBasis(haar_unitary(3, rng)))
+    for v in (np.array([1.0, 0.0]), np.eye(4)[:2]):
+        with pytest.raises(ValueError, match="state and arrangement dimensions differ"):
+            measurement.arrangement_probs(arr, v)
+        with pytest.raises(ValueError, match="state and arrangement dimensions differ"):
+            measurement.simulate_batch(arr, v, rng.random(2))
+        with pytest.raises(ValueError, match="state and arrangement dimensions differ"):
+            measurement.simulate_measurement(arr, v, rng)
+        with pytest.raises(ValueError, match="state and basis dimensions differ"):
+            measurement.born_probs(v, arr.basis)
+
+
 def test_simulate_measurement_frequencies():
     rng = np.random.default_rng(4)
     basis = measurement.MeasurementBasis(haar_unitary(3, rng))
@@ -144,6 +158,18 @@ def test_expected_value_diag_pm1():
     assert measurement.expected_value(v, obs) == pytest.approx(-0.4, abs=1e-12)
 
 
+def test_expected_value_takes_array_likes():
+    obs = measurement.Observable(basis=measurement.MeasurementBasis.standard(2),
+                                 values=[1.0, -1.0])
+    assert measurement.expected_value([1, 0], obs) == 1.0
+    assert measurement.expected_value((0, 1j), obs) == -1.0
+    assert_allclose(measurement.expected_value([[1, 0], [0, 1]], obs), [1.0, -1.0])
+    with pytest.raises(ValueError, match="squared norm"):
+        measurement.expected_value([1, 1], obs)
+    with pytest.raises(ValueError, match="state and basis dimensions differ"):
+        measurement.expected_value([1, 0, 0], obs)
+
+
 def test_expected_value_dual_route():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -188,8 +214,6 @@ def test_observable_spectral_structure():
         k = np.argmin(np.abs(eigvals - a))
         overlap = abs(np.vdot(eigvecs[:, k], basis.vectors[i]))
         assert overlap == pytest.approx(1.0, abs=1e-9)
-    assert not obs.is_degenerate
-    assert measurement.Observable(basis=basis, values=[1, 1, 2, 3]).is_degenerate
 
 
 def test_degenerate_probs_two_shared_values():
@@ -224,7 +248,6 @@ def test_degenerate_probs_groups_by_exact_float_equality():
     grouped = measurement.degenerate_probs(v, basis, values)
     assert len(grouped) == 3
     assert grouped[0.1 + 0.2] == pytest.approx(0.2) and grouped[0.3] == pytest.approx(0.3)
-    assert not measurement.Observable(basis=basis, values=values).is_degenerate
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

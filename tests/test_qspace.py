@@ -106,28 +106,6 @@ def test_qvector_round_trip():
         assert_allclose(back, q, rtol=0, atol=0)  # exact
 
 
-def test_result_probs():
-    assert_allclose(qspace.result_probs(np.array([1.0, 0, 0, 0])), [1, 0])
-    assert_allclose(qspace.result_probs(np.array([0.5, 0.5, 0.5, 0.5])), [0.5, 0.5])
-    rng = np.random.default_rng(3)
-    q = rng.normal(size=8)
-    q /= np.linalg.norm(q)
-    assert_allclose(qspace.result_probs(q),
-                    np.abs(qspace.to_complex(q)) ** 2, rtol=1e-12)
-
-
-def test_polarities():
-    assert qspace.polarities(np.array([1.0, 0, 0, 0])) == (1, None, None, None)
-    r = np.sqrt(0.5)
-    assert qspace.polarities(np.array([-r, 0, 0, r])) == (-1, None, None, 1)
-    rng = np.random.default_rng(4)
-    q = rng.normal(size=6)
-    q /= np.linalg.norm(q)
-    flipped = qspace.polarities(-q)
-    for s, f in zip(qspace.polarities(q), flipped):
-        assert f == (None if s is None else -s)
-
-
 def test_gauge_shift():
     rng = np.random.default_rng(5)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)

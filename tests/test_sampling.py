@@ -29,7 +29,7 @@ def test_haar_matrices_are_unitary():
     for n in (2, 3, 5):
         u = sampling.haar_unitary(n, rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
-        o = sampling.haar_orthogonal(n, rng)
+        o = sampling.haar_from_ginibre(rng.normal(size=(n, n)))
         assert np.max(np.abs(o.T @ o - np.eye(n))) < 1e-12
         assert np.isrealobj(o)
 

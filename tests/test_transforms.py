@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qig import qspace, transforms
-from qig.sampling import haar_orthogonal, haar_unitary
+from qig.sampling import haar_from_ginibre, haar_unitary
 
 
 def rot(theta):
@@ -49,7 +49,7 @@ def test_classify_rejects_mixed_sigma():
 def test_classify_rejects_generic_orthogonal():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        g = transforms.classify(haar_orthogonal(4, rng))
+        g = transforms.classify(haar_from_ginibre(rng.normal(size=(4, 4))))
         assert g.kind == "not_gauge_invariant"
 
 
@@ -100,6 +100,15 @@ def test_apply_rejects_invalid():
     bad = transforms.GaugeMap(kind="not_gauge_invariant", diagnostic="x")
     with pytest.raises(ValueError):
         transforms.apply(bad, np.array([1.0, 0.0]))
+    u = haar_unitary(3, np.random.default_rng(0))
+    for kind in ("unitary", "antiunitary"):
+        g = transforms.GaugeMap(kind=kind, v=u)
+        for v in ([1.0, 0.0], np.eye(4)[:2], 1.0):
+            with pytest.raises(ValueError, match="state and map dimensions differ"):
+                transforms.apply(g, v)
+    stacked = transforms.GaugeMap(kind=np.array(["unitary", "antiunitary"]), v=np.stack([u, u]))
+    with pytest.raises(ValueError, match="state and map dimensions differ"):
+        transforms.apply(stacked, np.eye(2))
 
 
 def test_apply_matches_real_action():
@@ -130,7 +139,7 @@ def test_witness_accepts_realified_maps():
 def test_witness_rejects_generic_maps():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        m = haar_orthogonal(6, rng)
+        m = haar_from_ginibre(rng.normal(size=(6, 6)))
         passed, dev = transforms.gauge_invariance_witness(m, trials=10, rng=rng)
         assert not passed
         assert dev > 1e-2
@@ -146,7 +155,7 @@ def test_witness_agrees_with_classify():
                      else transforms.realify_antiunitary)
             m = maker(v)
         else:
-            m = haar_orthogonal(2 * n, rng)
+            m = haar_from_ginibre(rng.normal(size=(2 * n, 2 * n)))
         verdict = transforms.classify(m).is_gauge_invariant
         passed, _ = transforms.gauge_invariance_witness(m, trials=10, rng=rng)
         assert verdict == passed
