@@ -100,9 +100,11 @@ def geodesic_distance(p, p2):
 
 
 def _hypotheses(p, p2):
-    """``p``, ``p2`` and the mask ``p > 0``, validated as one pair of 1-D hypotheses.
+    """``p`` and ln(p_i / p2_i) where p_i > 0 (0 elsewhere), for one pair of 1-D hypotheses.
 
-    Raises :class:`SupportMismatchError` where ``p2`` excludes an outcome ``p`` can produce.
+    The ratio is +-log1p(|p_i - p2_i| / min(p_i, p2_i)), whose argument is never negative,
+    so it keeps its digits both as p2_i nears p_i and far from it.  Raises
+    :class:`SupportMismatchError` where ``p2`` excludes an outcome ``p`` can produce.
     """
     p = as_prob_vec(p)
     p2 = as_prob_vec(p2)
@@ -112,7 +114,8 @@ def _hypotheses(p, p2):
     if np.any(live & (p2 == 0)):
         raise SupportMismatchError(
             "p assigns probability to an outcome p2 excludes: evidence is infinite")
-    return p, p2, live
+    low = np.where(live, np.minimum(p, p2), 1.0)
+    return p, np.where(live, np.sign(p - p2) * np.log1p(np.abs(p - p2) / low), 0.0)
 
 
 def log_bayes_factor(p, p2, n):
@@ -123,10 +126,10 @@ def log_bayes_factor(p, p2, n):
     priori equally likely.  Entries with p_i = 0 contribute nothing;
     p_i > 0 with p2_i = 0 means a single sample can rule out B outright.
     """
-    p, p2, live = _hypotheses(p, p2)
+    p, log_ratio = _hypotheses(p, p2)
     if n <= 0:
         raise ValueError("sample count must be positive")
-    return n * np.sum(p[live] * np.log(p[live] / p2[live]))
+    return n * np.sum(p * log_ratio)
 
 
 def simulate_log_evidence(p, p2, n, datasets, rng):
@@ -136,8 +139,6 @@ def simulate_log_evidence(p, p2, n, datasets, rng):
     and returns the per-dataset values of ln(P_A / P_B), computed from
     the multinomial counts.  Their mean estimates the analytic value.
     """
-    p, p2, live = _hypotheses(p, p2)
+    p, log_ratio = _hypotheses(p, p2)
     counts = rng.multinomial(n, p, size=datasets)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(live, np.log(np.where(live, p, 1.0) / np.where(live, p2, 1.0)), 0.0)
     return counts @ log_ratio

@@ -102,23 +102,50 @@ def short_pairs(count, seed):
 
 
 def test_short_distances_match_an_extended_precision_reference():
-    # The doubles given are taken as exact; the reference normalizes them at 50 digits.
-    # The chord of the square roots carries their rounding, about eps sqrt(p), so the
-    # geodesic's relative error grows as 1/s; over 300 draws it was at most 2e-15 / s
-    # (8.3e-14 at s = 1e-2, 2.0e-7 at 1e-8), so the bound is ten times that.  The
-    # arccos(sum sqrt(p p2)) form cancels instead: 3e-10 at 1e-2 and 18 at 1e-8 on these
-    # draws.  info_metric_ds2 is a control, at most 2.7e-16 at every scale.
+    # The doubles given are taken as exact; the reference works at 60 digits and, for the
+    # geodesic, normalizes them.  The chord of the square roots carries their rounding,
+    # about eps sqrt(p), so the geodesic's relative error grows as 1/s; over 300 draws it
+    # was at most 2e-15 / s (8.3e-14 at s = 1e-2, 2.0e-7 at 1e-8), so the bound is ten
+    # times that.  The arccos(sum sqrt(p p2)) form cancels instead: 3e-10 at 1e-2 and 18
+    # at 1e-8 on these draws.  The log Bayes factor sums terms of size s to a total of size
+    # s^2, so its relative error grows as 1/s too: at most 8.6e-15 / s over these 700
+    # points, bound 1e-13 / s.  Its n sum p ln(p / p2) form cancels in the logarithm: up
+    # to 3.0e-7 / s, failing from s = 1e-4 down.  info_metric_ds2 is a control, at most
+    # 2.7e-16 at every scale.
     mpmath = pytest.importorskip("mpmath")
     mp = np.vectorize(mpmath.mpf, otypes=[object])
-    with mpmath.workdps(50):
+    with mpmath.workdps(60):
         for (p, dp), s in itertools.product(short_pairs(100, seed=2), SCALES):
             p2 = simplex.renormalized(p + s * dp)
             a, b = (np.vectorize(mpmath.sqrt)(mp(x) / mpmath.fsum(mp(x))) for x in (p, p2))
             exact = 2 * mpmath.asin(mpmath.sqrt(mpmath.fsum((a - b) ** 2)) / 2)
             rel = float(abs(simplex.geodesic_distance(p, p2) / exact - 1))
             assert rel <= 2e-14 / s, (p, dp, s, rel)
+            exact = 7 * mpmath.fsum(mp(p) * np.vectorize(mpmath.log)(mp(p) / mp(p2)))
+            rel = float(abs(simplex.log_bayes_factor(p, p2, 7) / exact - 1))
+            assert rel <= 1e-13 / s, (p, dp, s, rel)
             exact = mpmath.fsum(mp(s * dp) ** 2 / mp(p)) / 4
             assert float(abs(simplex.info_metric_ds2(p, s * dp) / exact - 1)) <= 1e-15, (p, s)
+
+
+@pytest.mark.parametrize("q", [1e-17, 5e-11, 0.3, 0.5 - 1e-9])
+def test_log_evidence_matches_an_extended_precision_reference_at_any_separation(q):
+    # p = (1/2, 1/2) against p2 = (1 - q, q), the doubles taken as exact: ratios p2_i / p_i
+    # from 2e-17 to 1 - 2e-9.  Each value is a sum of terms c_i ln(p_i / p2_i), held to
+    # 1e-15 of the sum of their magnitudes (measured at most 1.2e-16).  A log1p((p2 - p) / p)
+    # ratio returns inf at q = 1e-17 and is 5e-8 off at 5e-11; ln(p / p2) is 5e-8 off at
+    # 0.5 - 1e-9, where the ratio of two doubles rounds.
+    mpmath = pytest.importorskip("mpmath")
+    p, p2, n = np.array([0.5, 0.5]), np.array([1 - q, q]), 10
+    counts = np.vstack([p * n, np.random.default_rng(0).multinomial(n, p, size=20)])
+    got = np.append(simplex.log_bayes_factor(p, p2, n),
+                    simplex.simulate_log_evidence(p, p2, n, 20, np.random.default_rng(0)))
+    with mpmath.workdps(60):
+        ratio = [mpmath.log(mpmath.mpf(a) / mpmath.mpf(b)) for a, b in zip(p, p2)]
+        for c, value in zip(counts, got):
+            exact = mpmath.fsum(mpmath.mpf(k) * r for k, r in zip(c, ratio))
+            size = mpmath.fsum(k * abs(r) for k, r in zip(c, ratio))
+            assert float(abs(value - exact) / size) <= 1e-15, (c, value, exact)
 
 
 def test_geodesic_triangle_inequality():
@@ -137,8 +164,9 @@ def test_log_bayes_factor_identical_coins():
 
 
 def test_log_bayes_factor_direct_sum():
-    # direct summation oracle: n * (p1 ln(p1/q1) + p2 ln(p2/q2))
-    expected = 100 * (0.5 * np.log(0.5 / 0.6) + 0.5 * np.log(0.5 / 0.4))
+    # direct summation oracle n * (p1 ln(p1/q1) + p2 ln(p2/q2)), summed by mpmath at 50
+    # digits with q = (0.6, 0.4) as doubles; the same sum in doubles is 1.6e-15 off it
+    expected = 2.0410997260127555
     got = simplex.log_bayes_factor([0.5, 0.5], [0.6, 0.4], 100)
     assert_allclose(got, expected, rtol=1e-15)
     assert_allclose(got, 2.0411, atol=5e-5)
